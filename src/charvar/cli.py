@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 from . import links, numeric, varieties
@@ -33,9 +34,11 @@ def _cache_path(cache_dir, p, m):
 def cached_char_poly(p, m, cache_dir=None, no_cache=False):
     """Word-derived defining polynomial, optionally through an on-disk cache.
 
-    A cache entry that exists but cannot be parsed raises CacheError; a
-    syntactically valid entry is returned as-is and later caught by the
-    product checks, never silently accepted.
+    An entry from another engine version is recomputed; one that cannot
+    be parsed, or whose recorded (p, m) is not its key, raises CacheError.
+    Nothing else about a hit is checked here: only `verify` compares it
+    with the closed forms.  Entries are written to a temporary file and
+    renamed into place, never left half-written.
     """
     if no_cache or cache_dir is None:
         return links.char_poly_twobridge(p, m).full
@@ -46,7 +49,12 @@ def cached_char_poly(p, m, cache_dir=None, no_cache=False):
                 data = json.load(fh)
         except (ValueError, OSError) as exc:
             raise CacheError("corrupt cache entry %s: %s" % (path, exc)) from None
+        if not isinstance(data, dict):
+            raise CacheError("malformed cache entry %s: not an object" % path)
         if data.get("engine") == ENGINE_VERSION:
+            if (data.get("p"), data.get("m")) != (p, m):
+                raise CacheError("cache entry %s is for (p, m) = (%r, %r), not (%d, %d)"
+                                 % (path, data.get("p"), data.get("m"), p, m))
             try:
                 return from_json(data["full"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -54,8 +62,14 @@ def cached_char_poly(p, m, cache_dir=None, no_cache=False):
         # stale engine version: recompute and overwrite below
     full = links.char_poly_twobridge(p, m).full
     os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"engine": ENGINE_VERSION, "p": p, "m": m, "full": full.to_json()}, fh)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"engine": ENGINE_VERSION, "p": p, "m": m, "full": full.to_json()}, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return full
 
 
@@ -89,45 +103,40 @@ def _pretzel_point(args):
     expected = varieties.pretzel_table_count(m, n)
     row = rep.to_json()
     row["expected_count"] = expected
-    row["pass"] = bool(
-        rep.product_check and rep.certificates_ok() and rep.component_count == expected
-    )
+    row["pass"] = rep.ok() and rep.component_count == expected
     return row
 
 
-def _twobridge3_point(args):
-    p, seed, cache_dir, no_cache = args
-    rep = varieties.verify_twobridge3(p)
-    row = rep.to_json()
-    row["expected_count"] = 2
-    ok = rep.product_check and rep.certificates_ok() and rep.component_count == 2
-    if cache_dir and not no_cache:
-        cached = cached_char_poly(p, 3, cache_dir, no_cache)
-        prod = links.REDUCIBLE_SURFACE * links.twobridge3_nonabelian(p)
-        if cached != prod and cached != -prod:
-            row["notes"] = row.get("notes", []) + ["cached polynomial mismatch"]
-            ok = False
-    if seed is not None and p <= 9:
-        resid = numeric.relator_residual(links.TwoBridge(p, 3), numeric.random_rep(seed))
-        row["numeric_residual"] = resid
-        ok = ok and resid < 1e-6
-    row["pass"] = bool(ok)
-    return row
+# a two-bridge family maps its parameter to (report, (p, m), expected
+# count, closed-form product); the product is only built for a cache check
 
 
-def _whitehead_point(args):
-    k, seed, cache_dir, no_cache = args
-    rep = varieties.verify_twisted_whitehead(k)
+def _twobridge3_family(p):
+    def closed_form():
+        return links.REDUCIBLE_SURFACE * links.twobridge3_nonabelian(p)
+
+    return varieties.verify_twobridge3(p), (p, 3), 2, closed_form
+
+
+def _whitehead_family(k):
+    def closed_form():
+        r, c, q = links.twisted_whitehead_factors(k)
+        return r * c * q
+
     n = (k + 1) // 2 if k % 2 else k // 2
     expected = n + 1 if k % 2 else n + 2
+    return varieties.verify_twisted_whitehead(k), (2 * k + 2, 2 * k + 1), expected, closed_form
+
+
+def _two_bridge_point(args):
+    family, t, seed, cache_dir, no_cache = args
+    rep, (p, m), expected, closed_form = family(t)
     row = rep.to_json()
     row["expected_count"] = expected
-    ok = rep.product_check and rep.certificates_ok() and rep.component_count == expected
-    p, m = 2 * k + 2, 2 * k + 1
+    ok = rep.ok() and rep.component_count == expected
     if cache_dir and not no_cache:
-        cached = cached_char_poly(p, m, cache_dir, no_cache)
-        r, c, q = links.twisted_whitehead_factors(k)
-        prod = r * c * q
+        cached = cached_char_poly(p, m, cache_dir)
+        prod = closed_form()
         if cached != prod and cached != -prod:
             row["notes"] = row.get("notes", []) + ["cached polynomial mismatch"]
             ok = False
@@ -140,8 +149,11 @@ def _whitehead_point(args):
 
 
 def _run_points(fn, points, jobs):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-started pool launches all of its workers at once, so never
+    # ask for more than there are points or CPUs
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, points))
     return [fn(point) for point in points]
 
@@ -225,25 +237,26 @@ def cmd_components(args):
 
 
 def cmd_verify(args):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
     if args.family == "1":
         lo_m, hi_m = _parse_range(args.m)
         lo_n, hi_n = _parse_range(args.n)
         points = [(m, n) for m in range(lo_m, hi_m + 1) for n in range(lo_n, hi_n + 1)]
         rows = _run_points(_pretzel_point, points, args.jobs)
-    elif args.family == "2":
-        lo, hi = _parse_range(args.p)
-        points = [
-            (p, args.seed, args.cache_dir, args.no_cache)
-            for p in range(lo, hi + 1)
-            if p > 3 and p % 3 != 0
-        ]
-        rows = _run_points(_twobridge3_point, points, args.jobs)
     else:
-        lo, hi = _parse_range(args.k)
-        if lo < 0:
-            raise ValueError("twist counts start at 0")
-        points = [(k, args.seed, args.cache_dir, args.no_cache) for k in range(lo, hi + 1)]
-        rows = _run_points(_whitehead_point, points, args.jobs)
+        if args.family == "2":
+            lo, hi = _parse_range(args.p)
+            family = _twobridge3_family
+            params = [p for p in range(lo, hi + 1) if p > 3 and p % 3 != 0]
+        else:
+            lo, hi = _parse_range(args.k)
+            if lo < 0:
+                raise ValueError("twist counts start at 0")
+            family = _whitehead_family
+            params = range(lo, hi + 1)
+        points = [(family, t, args.seed, args.cache_dir, args.no_cache) for t in params]
+        rows = _run_points(_two_bridge_point, points, args.jobs)
     _print_rows(rows, args.format)
     return 0 if all(row["pass"] for row in rows) else 1
 
@@ -284,7 +297,8 @@ def build_parser():
     p_ver.add_argument("--k", default="0..10", help="twist count range")
     p_ver.add_argument("--seed", type=int, default=None,
                        help="enables a numeric spot check at small p")
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per point and per CPU")
     p_ver.add_argument("--cache-dir", default=None)
     p_ver.add_argument("--no-cache", action="store_true")
     add_common(p_ver)

@@ -169,18 +169,29 @@ def pretzel_beta():
     return X * Y * Z + 2 - Y**2 - Z**2
 
 
-def pretzel_alpha(m):
-    beta = pretzel_beta()
-    return Y * cheb_at(m - 1, beta) - (X * Z - Y) * cheb_at(m - 2, beta)
+def pretzel_q(m, n, x1, y, beta):
+    """Q(m, n) in the coordinates (x1, y, beta), in the ring of its arguments.
+
+    With alpha = y S_{m-1}(beta) - x1 S_{m-2}(beta),
+    Q = x1 S_{n-1}(alpha) - (S_m(beta) - S_{m-1}(beta)) S_{n-2}(alpha).
+    The pretzel link's own coordinates are (x z - y, y, pretzel_beta()).
+    """
+    alpha = y * cheb_at(m - 1, beta) - x1 * cheb_at(m - 2, beta)
+    return x1 * cheb_at(n - 1, alpha) - (
+        cheb_at(m, beta) - cheb_at(m - 1, beta)
+    ) * cheb_at(n - 2, alpha)
+
+
+def pretzel_r(m, x1, y, beta):
+    """The n = -1 cofactor R(m) in the coordinates (x1, y, beta)."""
+    return y * (cheb_at(m, beta) - cheb_at(m - 1, beta)) - x1 * (
+        cheb_at(m - 1, beta) - cheb_at(m - 2, beta)
+    )
 
 
 def pretzel_nonabelian(m, n):
     """Q with (gamma - 2) * Q the defining polynomial of the pretzel link."""
-    beta = pretzel_beta()
-    alpha = pretzel_alpha(m)
-    return (X * Z - Y) * cheb_at(n - 1, alpha) - (
-        cheb_at(m, beta) - cheb_at(m - 1, beta)
-    ) * cheb_at(n - 2, alpha)
+    return pretzel_q(m, n, X * Z - Y, Y, pretzel_beta())
 
 
 @lru_cache(maxsize=None)
@@ -214,17 +225,10 @@ def twobridge3_nonabelian(p):
     n, r = divmod(p, 3)
     sn = cheb_at(n, Z)
     sn1 = cheb_at(n - 1, Z)
-    if r == 1:
-        return (
-            (X**2 + Y**2) * sn * sn1**2
-            - X * Y * sn1 * (sn**2 + sn1**2)
-            + cheb_at(3 * n, Z)
-        )
-    return (
-        (X**2 + Y**2) * sn**2 * sn1
-        - X * Y * sn * (sn**2 + sn1**2)
-        + cheb_at(3 * n + 1, Z)
-    )
+    # with s = S_{n-1}(z) for p = 3n+1 and s = S_n(z) for p = 3n+2:
+    # Q_p = (x^2 + y^2) S_n S_{n-1} s - x y s (S_n^2 + S_{n-1}^2) + S_{p-1}(z)
+    s = sn1 if r == 1 else sn
+    return (X**2 + Y**2) * sn * sn1 * s - X * Y * s * (sn**2 + sn1**2) + cheb_at(p - 1, Z)
 
 
 def twisted_whitehead_factors(k):

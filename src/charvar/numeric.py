@@ -92,31 +92,8 @@ def relator_residual(link, pair):
         "y": np.trace(b),
         "z": np.trace(a @ b),
     }
-    value = _evaluate_extended(full, point)
+    value = full.evaluate(point)
     return float(abs(np.trace(left) - np.trace(right) - value))
-
-
-def _evaluate_extended(poly, point):
-    """Term-by-term evaluation with cached powers, in extended precision."""
-    powers = {}
-
-    def power(name, e):
-        key = (name, e)
-        v = powers.get(key)
-        if v is None:
-            v = point[name] ** e
-            powers[key] = v
-        return v
-
-    total = np.clongdouble(0)
-    names = poly.ring.names
-    for exp, c in poly.terms.items():
-        term = np.clongdouble(c)
-        for name, e in zip(names, exp):
-            if e:
-                term = term * power(name, e)
-        total = total + term
-    return total
 
 
 def trace_agreement(word, pair):

@@ -295,25 +295,7 @@ class Polynomial:
         mapping sends variable names to Polynomials of `ring`; every
         variable that occurs in self must be mapped.
         """
-        powers = {}
-
-        def power(name, e):
-            key = (name, e)
-            p = powers.get(key)
-            if p is None:
-                p = mapping[name] ** e
-                powers[key] = p
-            return p
-
-        acc = ring.zero()
-        names = self.ring.names
-        for exp, c in self.terms.items():
-            term = ring.const(c)
-            for name, e in zip(names, exp):
-                if e:
-                    term = term * power(name, e)
-            acc = acc + term
-        return acc
+        return ring.zero() + self.evaluate(mapping)
 
     def cast(self, ring):
         """Inject into another ring containing all occurring variables."""
@@ -321,35 +303,31 @@ class Polynomial:
         return self.map_values(mapping, ring)
 
     def evaluate(self, assignment):
-        """Evaluate at a point; Horner in each variable in turn.
+        """Evaluate at a point: a term-by-term sum with cached powers.
 
+        Values are never converted: each term is the integer coefficient
+        times powers of the assigned values, so the result keeps the
+        inputs' own arithmetic (int stays exact, Fraction stays Fraction,
+        a numpy extended-precision scalar stays extended, a Polynomial
+        gives a Polynomial).  The zero polynomial evaluates to int 0.
         Raises KeyError if a variable with positive degree is missing.
         """
         for n in self.variables():
             if n not in assignment:
                 raise KeyError("no value for variable %r" % n)
-        return self._eval(dict(assignment))
-
-    def _eval(self, assignment):
-        if self.is_constant():
-            return complex(self.terms.get(self.ring._zero_exp, 0))
-        name = self.variables()[0]
-        i = self.ring.index[name]
-        parts = {}
+        powers = {}
+        total = 0
+        names = self.ring.names
         for exp, c in self.terms.items():
-            e = list(exp)
-            k = e[i]
-            e[i] = 0
-            parts.setdefault(k, {})[tuple(e)] = c
-        d = max(parts)
-        xv = complex(assignment[name])
-        acc = Polynomial(self.ring, parts[d])._eval(assignment)
-        for k in range(d - 1, -1, -1):
-            sub = parts.get(k)
-            acc = acc * xv
-            if sub:
-                acc = acc + Polynomial(self.ring, sub)._eval(assignment)
-        return acc
+            term = c
+            for name, e in zip(names, exp):
+                if e:
+                    v = powers.get((name, e))
+                    if v is None:
+                        v = powers[(name, e)] = assignment[name] ** e
+                    term = term * v
+            total = total + term
+        return total
 
     # -- divisibility -------------------------------------------------------
 

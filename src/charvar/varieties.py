@@ -22,6 +22,7 @@ in the diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import links
 from .chebyshev import cheb, cheb_at, cheb_diff, distinct_root_count
@@ -297,12 +298,40 @@ def _explicit_factor(poly, cert, result):
     )
 
 
+def _linear_factor(poly, var):
+    return _explicit_factor(poly, LinearInVariable(var), _check_linear(var, poly))
+
+
 def _match_sign(full, prod):
     if full == prod:
         return 1
     if full == -prod:
         return -1
     return 0
+
+
+def _report(link, factors, full, variant=None, notes=()):
+    """Product and sign check of a factor list against full, as a report.
+
+    variant, when given, is the conjugate-variant polynomial; it must
+    match the product up to sign as well.
+    """
+    prod = RING.one()
+    for f in factors:
+        prod = prod * f.poly
+    sign = _match_sign(full, prod)
+    notes = list(notes)
+    if variant is not None and _match_sign(variant, prod) == 0:
+        notes.append("conjugate-variant polynomial does not match the closed form")
+        sign = 0
+    return ComponentReport(
+        link=link,
+        factors=factors,
+        component_count=sum(f.components for f in factors),
+        product_check=sign != 0,
+        sign=sign if sign else 1,
+        notes=notes,
+    )
 
 
 # -- transformation chains --------------------------------------------------------
@@ -367,21 +396,47 @@ def _triangular_descent(q1, q2, details):
     return image
 
 
-def _pretzel_q1(m, n):
-    x1, y, z = R_X1.var("x1"), R_X1.var("y"), R_X1.var("z")
-    beta1 = x1 * y + 2 - z**2
-    alpha1 = y * cheb_at(m - 1, beta1) - x1 * cheb_at(m - 2, beta1)
-    return x1 * cheb_at(n - 1, alpha1) - (
-        cheb_at(m, beta1) - cheb_at(m - 1, beta1)
-    ) * cheb_at(n - 2, alpha1)
+# the coordinate triples (x1, y, beta) the pretzel builders run in:
+# (x z - y, y, x y z + 2 - y^2 - z^2), (x1, y, x1 y + 2 - z^2), (x1, y, b2)
+_XZ_COORDS = (X * Z - Y, Y, links.pretzel_beta())
+_x1, _y1, _z1 = (R_X1.var(v) for v in R_X1.names)
+_X1_COORDS = (_x1, _y1, _x1 * _y1 + 2 - _z1**2)
+_B2_COORDS = tuple(R_B2.var(v) for v in R_B2.names)
 
 
-def _pretzel_q2(m, n):
-    x1, y, b2 = R_B2.var("x1"), R_B2.var("y"), R_B2.var("b2")
-    alpha2 = y * cheb_at(m - 1, b2) - x1 * cheb_at(m - 2, b2)
-    return x1 * cheb_at(n - 1, alpha2) - (
-        cheb_at(m, b2) - cheb_at(m - 1, b2)
-    ) * cheb_at(n - 2, alpha2)
+def _pretzel_chain(name, build, final):
+    """The certificate chain both pretzel certificates share.
+
+    build(x1, y, beta) gives the polynomial in each coordinate triple:
+    name in RING, name1 in R_X1 and name2 in R_B2.  The chain restricts
+    x to x1, descends through z^2 and the triangular move to name2, runs
+    final(name2, details), which must certify name2 irreducible, and
+    lifts the result back through the z-square obstruction on name1.
+    """
+    details = []
+    q = build(*_XZ_COORDS)
+    q1 = build(*_X1_COORDS)
+    if not _restrict_to_x1(q, q1, details):
+        return CertResult(False, details)
+    q2 = build(*_B2_COORDS)
+    if _triangular_descent(q1, q2, details) is None or not final(q2, details):
+        return CertResult(False, details)
+    chain = CertResult(True, ["chain above certifies the z^2 -> w image"])
+    sq = _check_square_obstruction("z", q1, image_result=chain)
+    details.append(
+        "square obstruction in z on %s1: %s" % (name, "passed" if sq.ok else "failed")
+    )
+    if not sq.ok:
+        details.extend("  " + line for line in sq.details)
+        return CertResult(False, details)
+    return CertResult(True, details)
+
+
+def _linear_in_y(name, poly, details):
+    lin = _check_linear("y", poly)
+    details.append("%s degree-1 certificate in y:" % name)
+    details.extend("  " + line for line in lin.details)
+    return lin.ok
 
 
 def _pretzel_q3(m, n):
@@ -391,94 +446,39 @@ def _pretzel_q3(m, n):
     ) * cheb_at(n - 2, x2)
 
 
-def certify_pretzel_generic(m, n):
-    """Irreducibility chain for Q(m, n) with m not in {0, 1}, n not in {-1, 0}."""
-    details = []
-    q = links.pretzel_nonabelian(m, n)
-    q1 = _pretzel_q1(m, n)
-    if not _restrict_to_x1(q, q1, details):
-        return CertResult(False, details)
-    q2 = _pretzel_q2(m, n)
-    image = _triangular_descent(q1, q2, details)
-    if image is None:
-        return CertResult(False, details)
-    # step 1: q2 is coprime to S_{m-2}(b2)
-    s_m2 = cheb_at(m - 2, R_B2.var("b2"))
+def _move_to_x2(m, n, q2, details):
+    """Trade x1 for x2 = alpha2 = y S_{m-1}(b2) - x1 S_{m-2}(b2); q3 linear in y."""
+    x1, y, b2 = _B2_COORDS
+    s_m2 = cheb_at(m - 2, b2)
     if not poly_gcd(s_m2, q2).is_one():
         details.append("gcd(S_{m-2}(b2), q2) != 1; x1 -> alpha2 move invalid")
-        return CertResult(False, details)
+        return False
     details.append("gcd(S_{m-2}(b2), q2) = 1")
-    # step 2: trade x1 for x2 = alpha2 and certify the result linear in y
     q3 = _pretzel_q3(m, n)
-    b2 = R_B2.var("b2")
-    alpha2 = R_B2.var("y") * cheb_at(m - 1, b2) - R_B2.var("x1") * cheb_at(m - 2, b2)
-    mapped = q3.map_values(
-        {"x2": alpha2, "y": R_B2.var("y"), "b2": b2}, R_B2
-    )
-    if mapped != s_m2 * q2:
+    alpha2 = y * cheb_at(m - 1, b2) - x1 * s_m2
+    if q3.map_values({"x2": alpha2, "y": y, "b2": b2}, R_B2) != s_m2 * q2:
         details.append("witness identity q3[x2 -> alpha2] = S_{m-2}(b2) q2 failed")
-        return CertResult(False, details)
+        return False
     details.append("x1 -> (y S_{m-1}(b2) - x2)/S_{m-2}(b2) move verified exactly")
-    lin = _check_linear("y", q3)
-    details.append("q3 degree-1 certificate in y:")
-    details.extend("  " + line for line in lin.details)
-    if not lin.ok:
-        return CertResult(False, details)
-    # square obstruction lifts the b2-chain back through z^2
-    chain = CertResult(True, ["chain above certifies the z^2 -> w image"])
-    sq = _check_square_obstruction("z", q1, image_result=chain)
-    details.append("square obstruction in z on q1: %s" % ("passed" if sq.ok else "failed"))
-    if not sq.ok:
-        details.extend("  " + line for line in sq.details)
-        return CertResult(False, details)
-    return CertResult(True, details)
+    return _linear_in_y("q3", q3, details)
+
+
+def certify_pretzel_generic(m, n):
+    """Irreducibility chain for Q(m, n) with m not in {0, 1}, n not in {-1, 0}."""
+    return _pretzel_chain("q", partial(links.pretzel_q, m, n), partial(_move_to_x2, m, n))
 
 
 def _pretzel_R(m):
-    beta = links.pretzel_beta()
-    return Y * (cheb_at(m, beta) - cheb_at(m - 1, beta)) - (X * Z - Y) * (
-        cheb_at(m - 1, beta) - cheb_at(m - 2, beta)
-    )
-
-
-def _pretzel_R1(m):
-    x1, y, z = R_X1.var("x1"), R_X1.var("y"), R_X1.var("z")
-    beta1 = x1 * y + 2 - z**2
-    return y * (cheb_at(m, beta1) - cheb_at(m - 1, beta1)) - x1 * (
-        cheb_at(m - 1, beta1) - cheb_at(m - 2, beta1)
-    )
+    return links.pretzel_r(m, *_XZ_COORDS)
 
 
 def _pretzel_R2(m):
-    x1, y, b2 = R_B2.var("x1"), R_B2.var("y"), R_B2.var("b2")
-    return y * (cheb_at(m, b2) - cheb_at(m - 1, b2)) - x1 * (
-        cheb_at(m - 1, b2) - cheb_at(m - 2, b2)
-    )
+    return links.pretzel_r(m, *_B2_COORDS)
 
 
 def certify_pretzel_extra_twist(m):
     """Irreducibility chain for the cofactor R in the n = -1 case, m != 0."""
-    details = []
-    r = _pretzel_R(m)
-    r1 = _pretzel_R1(m)
-    if not _restrict_to_x1(r, r1, details):
-        return CertResult(False, details)
-    r2 = _pretzel_R2(m)
-    image = _triangular_descent(r1, r2, details)
-    if image is None:
-        return CertResult(False, details)
-    lin = _check_linear("y", r2)
-    details.append("r2 degree-1 certificate in y:")
-    details.extend("  " + line for line in lin.details)
-    if not lin.ok:
-        return CertResult(False, details)
-    chain = CertResult(True, ["chain above certifies the z^2 -> w image"])
-    sq = _check_square_obstruction("z", r1, image_result=chain)
-    details.append("square obstruction in z on r1: %s" % ("passed" if sq.ok else "failed"))
-    if not sq.ok:
-        details.extend("  " + line for line in sq.details)
-        return CertResult(False, details)
-    return CertResult(True, details)
+    return _pretzel_chain("r", partial(links.pretzel_r, m), partial(_linear_in_y, "r2"))
 
 
 def certify_rotated_even(q, slice_z=None):
@@ -568,39 +568,16 @@ def count_components_pretzel(m, n):
             _explicit_factor(_pretzel_R(m), SquareObstruction("z"), res)
         )
     elif m == 1:
-        q = cp.nonabelian
         if n == 2:
-            for fac in (Z - 1, Z + 1):
-                factors.append(
-                    _explicit_factor(fac, LinearInVariable("z"), _check_linear("z", fac))
-                )
+            factors += [_linear_factor(Z - 1, "z"), _linear_factor(Z + 1, "z")]
         elif n == 3:
-            factors.append(
-                _explicit_factor(Z, LinearInVariable("z"), _check_linear("z", Z))
-            )
-            yzx = Y * Z - X
-            factors.append(
-                _explicit_factor(yzx, LinearInVariable("x"), _check_linear("x", yzx))
-            )
+            factors += [_linear_factor(Z, "z"), _linear_factor(Y * Z - X, "x")]
         else:
-            factors.append(
-                _explicit_factor(q, LinearInVariable("x"), _check_linear("x", q))
-            )
+            factors.append(_linear_factor(cp.nonabelian, "x"))
     else:
         res = certify_pretzel_generic(m, n)
         factors.append(_explicit_factor(cp.nonabelian, SquareObstruction("z"), res))
-    prod = RING.one()
-    for f in factors:
-        prod = prod * f.poly
-    sign = _match_sign(cp.full, prod)
-    return ComponentReport(
-        link=link,
-        factors=factors,
-        component_count=sum(f.components for f in factors),
-        product_check=sign != 0,
-        sign=sign if sign else 1,
-        notes=notes,
-    )
+    return _report(link, factors, cp.full, notes=notes)
 
 
 def pretzel_table_count(m, n):
@@ -639,22 +616,8 @@ def verify_twobridge3(p):
     res, rotated = certify_rotated_even(q)
     details = ["irreducible in x, y^2 after rotation"] + res.details
     factors.append(_explicit_factor(q, SquareObstruction("y"), CertResult(res.ok, details)))
-    prod = REDUCIBLE_SURFACE * q
     full = links.char_poly_twobridge(p, 3).full
-    sign = _match_sign(full, prod)
-    notes = []
-    alt = links.char_poly_variants(p, 3)[1]
-    if _match_sign(alt, prod) == 0:
-        notes.append("conjugate-variant polynomial does not match the closed form")
-        sign = 0
-    return ComponentReport(
-        link=link,
-        factors=factors,
-        component_count=sum(f.components for f in factors),
-        product_check=sign != 0,
-        sign=sign if sign else 1,
-        notes=notes,
-    )
+    return _report(link, factors, full, variant=links.char_poly_variants(p, 3)[1])
 
 
 def verify_twisted_whitehead(k):
@@ -670,49 +633,28 @@ def verify_twisted_whitehead(k):
         univ = cheb_diff(n)
     factors.append(_cheb_family_factor(univ, GAMMA))
     factors.append(_certified_whitehead_q(k, n, q))
-    prod = RING.one()
-    for f in factors:
-        prod = prod * f.poly
-    full = links.char_poly_twobridge(2 * k + 2, 2 * k + 1).full
-    sign = _match_sign(full, prod)
-    notes = []
-    alt = links.char_poly_variants(2 * k + 2, 2 * k + 1)[1]
-    if _match_sign(alt, prod) == 0:
-        notes.append("conjugate-variant polynomial does not match the closed form")
-        sign = 0
-    return ComponentReport(
-        link=link,
-        factors=factors,
-        component_count=sum(f.components for f in factors),
-        product_check=sign != 0,
-        sign=sign if sign else 1,
-        notes=notes,
-    )
+    p, m = 2 * k + 2, 2 * k + 1
+    full = links.char_poly_twobridge(p, m).full
+    return _report(link, factors, full, variant=links.char_poly_variants(p, m)[1])
 
 
 def _certified_whitehead_q(k, n, q):
     """Leading-coefficient route: top x-coefficient z, then a z = 2 slice."""
     if k == 0:
-        return _explicit_factor(q, LinearInVariable("z"), _check_linear("z", q))
-    details = []
+        return _linear_factor(q, "z")
+    return _explicit_factor(q, SquareObstruction("x"), _whitehead_q_chain(n, q))
+
+
+def _whitehead_q_chain(n, q):
     dx = q.degree_in("x")
     if dx != 2 * n:
-        return _explicit_factor(
-            q, SquareObstruction("x"), CertResult(False, ["x-degree %s, expected %d" % (dx, 2 * n)])
-        )
+        return CertResult(False, ["x-degree %s, expected %d" % (dx, 2 * n)])
     lead = q.coeff_in("x", dx)
     if lead != Z and lead != -Z:
-        return _explicit_factor(
-            q,
-            SquareObstruction("x"),
-            CertResult(False, ["leading x-coefficient %s is not +-z" % lead]),
-        )
-    details.append("leading x-coefficient is +-z, so any factor free of x would divide z")
+        return CertResult(False, ["leading x-coefficient %s is not +-z" % lead])
+    details = ["leading x-coefficient is +-z, so any factor free of x would divide z"]
     if not poly_gcd(Z, q).is_one():
-        return _explicit_factor(
-            q, SquareObstruction("x"), CertResult(False, details + ["z divides q"])
-        )
+        return CertResult(False, details + ["z divides q"])
     details.append("gcd(z, q) = 1: factors keep positive x-degree on the z = 2 slice")
-    res, rotated = certify_rotated_even(q, slice_z=2)
-    details.extend(res.details)
-    return _explicit_factor(q, SquareObstruction("x"), CertResult(res.ok, details))
+    res, _ = certify_rotated_even(q, slice_z=2)
+    return CertResult(res.ok, details + res.details)

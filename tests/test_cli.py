@@ -1,8 +1,10 @@
 import json
 import os
+import shutil
 
 import pytest
 
+from charvar import cli
 from charvar.cli import main
 from charvar.links import REDUCIBLE_SURFACE
 from charvar.polynomials import from_json
@@ -131,3 +133,89 @@ def test_verify_parallel_matches_serial(capsys):
     code2, out2, _ = run(capsys, "verify", "3", "--k", "0..2", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_whitehead_cache_and_seed(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    argv = ("verify", "3", "--k", "0..1", "--seed", "11", "--cache-dir", cache,
+            "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["link"] for r in rows] == ["whitehead:0", "whitehead:1"]
+    assert all(r["pass"] and r["numeric_residual"] < 1e-6 for r in rows)
+
+    entry = os.path.join(cache, "twobridge_4_3.json")
+    with open(entry) as fh:
+        data = json.load(fh)
+    data["full"]["terms"][0]["coeff"] = str(int(data["full"]["terms"][0]["coeff"]) + 1)
+    with open(entry, "w") as fh:
+        json.dump(data, fh)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    rows = json.loads(out)
+    assert rows[0]["pass"] and not rows[1]["pass"]
+    assert "cached polynomial mismatch" in rows[1]["notes"]
+
+
+def test_cache_entry_under_wrong_key_exit_1(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    for link in ("twobridge:4,3", "twobridge:5,3"):
+        code, _, _ = run(capsys, "charpoly", link, "--cache-dir", cache)
+        assert code == 0
+    shutil.copy(os.path.join(cache, "twobridge_5_3.json"),
+                os.path.join(cache, "twobridge_4_3.json"))
+    code, out, err = run(capsys, "charpoly", "twobridge:4,3", "--cache-dir", cache)
+    assert code == 1
+    assert out == "" and "(5, 3), not (4, 3)" in err
+    with open(os.path.join(cache, "twobridge_4_3.json"), "w") as fh:
+        fh.write("[4, 3]")
+    code, _, err = run(capsys, "charpoly", "twobridge:4,3", "--cache-dir", cache)
+    assert code == 1 and "malformed" in err
+
+
+def test_cache_write_leaves_no_partial_entry(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    cli.cached_char_poly(4, 3, cache)
+    assert os.listdir(cache) == ["twobridge_4_3.json"]
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli.cached_char_poly(5, 3, cache)
+    assert os.listdir(cache) == ["twobridge_4_3.json"]
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        code, _, err = run(capsys, "verify", "3", "--k", "0..1", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err
+
+
+def test_verify_jobs_capped_by_points_and_cpus(capsys, monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            return map(fn, points)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    code, _, _ = run(capsys, "verify", "3", "--k", "0..2", "--jobs", "64")
+    assert code == 0 and requested == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, _, _ = run(capsys, "verify", "3", "--k", "0..2", "--jobs", "64")
+    assert code == 0 and requested == [3, 2]
+    code, _, _ = run(capsys, "verify", "3", "--k", "0..0", "--jobs", "64")
+    assert code == 0 and requested == [3, 2]  # one point runs in-process

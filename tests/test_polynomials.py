@@ -123,6 +123,17 @@ def test_eval():
         (X + Y).evaluate({"x": 1.0})
 
 
+def test_evaluate_keeps_input_arithmetic():
+    from fractions import Fraction
+
+    from charvar.chebyshev import cheb
+
+    value = cheb(60).evaluate({"t": 3})
+    assert type(value) is int and value == 14028366653498915298923761
+    half = (X**2 - 3 * Y).evaluate({"x": Fraction(1, 2), "y": Fraction(1, 3)})
+    assert type(half) is Fraction and half == Fraction(-3, 4)
+
+
 def test_json_round_trip(rng):
     gamma = X**2 + Y**2 + Z**2 - X * Y * Z - 2
     blob = json.dumps(gamma.to_json())
