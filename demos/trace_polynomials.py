@@ -3,9 +3,9 @@
 
 For any representation into SL2(C), the trace of a word is a fixed
 polynomial in x = tr(a), y = tr(b), z = tr(ab).  The reduction engine
-computes it exactly; a separate matrix model over a Laurent ring
-recomputes it with no shared code, and a float sampler cross-checks
-both against literal matrix products.
+computes it exactly; a separate model that multiplies explicit matrices
+with entries in Z[x, y, c] recomputes it with no shared code, and a
+float sampler cross-checks both against literal matrix products.
 """
 
 import numpy as np

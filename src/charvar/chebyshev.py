@@ -7,36 +7,22 @@ forms of the link polynomials and the component counts.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .polynomials import NEG_INF, PolyRing, poly_gcd
 
 T_RING = PolyRing(("t",))
 T = T_RING.var("t")
 
-_cache = {0: T_RING.one(), 1: T}
 
-
+@lru_cache(maxsize=None)
 def cheb(k):
     """S_k(t) for any integer k, memoized.
 
-    The memo table only ever stores the (immutable) result for an index,
-    so concurrent callers observe identical values.
+    The memo only ever stores the (immutable) result for an index, so
+    concurrent callers observe identical values.
     """
-    try:
-        return _cache[k]
-    except KeyError:
-        pass
-    if k < 0:
-        # S_{-1} = 0; below that fold onto nonnegative indices
-        value = T_RING.zero() if k == -1 else -cheb(-k - 2)
-    else:
-        top = max(i for i in _cache if i >= 0)
-        s_prev, s = _cache[top - 1] if top - 1 in _cache else cheb(top - 1), _cache[top]
-        for i in range(top + 1, k + 1):
-            s_prev, s = s, T * s - s_prev
-            _cache[i] = s
-        value = s
-    _cache[k] = value
-    return value
+    return cheb_at(k, T)
 
 
 def cheb_at(k, value):

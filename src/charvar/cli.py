@@ -243,7 +243,7 @@ def cmd_verify(args):
         lo_m, hi_m = _parse_range(args.m)
         lo_n, hi_n = _parse_range(args.n)
         points = [(m, n) for m in range(lo_m, hi_m + 1) for n in range(lo_n, hi_n + 1)]
-        rows = _run_points(_pretzel_point, points, args.jobs)
+        point_fn = _pretzel_point
     else:
         if args.family == "2":
             lo, hi = _parse_range(args.p)
@@ -256,7 +256,11 @@ def cmd_verify(args):
             family = _whitehead_family
             params = range(lo, hi + 1)
         points = [(family, t, args.seed, args.cache_dir, args.no_cache) for t in params]
-        rows = _run_points(_two_bridge_point, points, args.jobs)
+        point_fn = _two_bridge_point
+    if not points:
+        # a run that checks nothing must not report success
+        raise ValueError("the given ranges contain no point of family %s" % args.family)
+    rows = _run_points(point_fn, points, args.jobs)
     _print_rows(rows, args.format)
     return 0 if all(row["pass"] for row in rows) else 1
 

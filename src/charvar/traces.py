@@ -13,8 +13,9 @@ to repeated blocks, so that words like (ba)^n (b^-1 a^-1)^n ... collapse
 to a handful of short words with Chebyshev coefficients.
 
 trace_poly_oracle recomputes the same polynomial by multiplying explicit
-matrices over a Laurent ring and rewriting the result in z = c + 1/c; it
-shares no code path with the reduction engine.
+SL2 matrices, with every b-letter scaled by c so that all entries are
+polynomials in x, y, c, and rewriting the trace in z = c + 1/c; it shares
+no code path with the reduction engine.
 
 Words are tuples of (generator, exponent) syllables with generators in
 {"a", "b"}, nonzero exponents, and distinct adjacent generators.
@@ -65,10 +66,6 @@ def word_concat(*parts):
 
 def word_inverse(word):
     return tuple((gen, -exp) for gen, exp in reversed(word))
-
-
-def word_weight(word):
-    return sum(abs(e) for _, e in word)
 
 
 def word_to_string(word):
@@ -290,54 +287,15 @@ _OY = _ORACLE_RING.var("y")
 _OC = _ORACLE_RING.var("c")
 
 
-class _Laurent:
-    """num / c^den with num a polynomial in (x, y, c); den >= 0."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=0):
-        # strip common powers of c so den stays small
-        if den and not num.is_zero():
-            low = min(exp[2] for exp in num.terms)
-            k = min(low, den)
-            if k:
-                num = num.div_exact(_ORACLE_RING.monomial("c", k))
-                den -= k
-        if num.is_zero():
-            den = 0
-        self.num = num
-        self.den = den
-
-    def __add__(self, other):
-        d = max(self.den, other.den)
-        a = self.num * _ORACLE_RING.monomial("c", d - self.den)
-        b = other.num * _ORACLE_RING.monomial("c", d - other.den)
-        return _Laurent(a + b, d)
-
-    def __sub__(self, other):
-        return self + _Laurent(-other.num, other.den)
-
-    def __mul__(self, other):
-        return _Laurent(self.num * other.num, self.den + other.den)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-
-def _lc(poly):
-    return _Laurent(poly, 0)
-
-
-_L0 = _lc(_ORACLE_RING.zero())
-_L1 = _lc(_ORACLE_RING.one())
-
-# A = [[x, -1], [1, 0]], B = [[0, c], [-1/c, y]]; both have determinant 1,
-# tr A = x, tr B = y, tr AB = c + 1/c
+# A = [[x, -1], [1, 0]] and B = [[0, c], [-1/c, y]] have determinant 1,
+# tr A = x, tr B = y and tr AB = c + 1/c.  Every b-letter enters scaled by
+# c, as c B = [[0, c^2], [-1, c y]] or c B^-1 = [[c y, -c^2], [1, 0]], so
+# all entries stay in Z[x, y, c].
 _MAT = {
-    ("a", 1): ((_lc(_OX), _lc(-_ORACLE_RING.one())), (_L1, _L0)),
-    ("a", -1): ((_L0, _L1), (_lc(-_ORACLE_RING.one()), _lc(_OX))),
-    ("b", 1): ((_L0, _lc(_OC)), (_Laurent(-_ORACLE_RING.one(), 1), _lc(_OY))),
-    ("b", -1): ((_lc(_OY), _lc(-_OC)), (_Laurent(_ORACLE_RING.one(), 1), _L0)),
+    ("a", 1): ((_OX, -1), (1, 0)),
+    ("a", -1): ((0, 1), (-1, _OX)),
+    ("b", 1): ((0, _OC**2), (-1, _OC * _OY)),
+    ("b", -1): ((_OC * _OY, -(_OC**2)), (1, 0)),
 }
 
 
@@ -351,34 +309,32 @@ def _mat_mul(m, n):
 def trace_poly_oracle(word):
     """P_word recomputed from explicit matrices; independent of trace_poly.
 
-    The product is taken over the Laurent ring Z[x, y][c, 1/c]; the trace
-    is symmetric in c <-> 1/c and is rewritten as a polynomial in
-    z = c + 1/c by peeling the top symmetric power.  A nonzero residue
-    would signal an arithmetic bug and raises ArithmeticError.
+    With n b-letters the c-scaled product has trace num = c^n tr, and tr
+    is symmetric in c <-> 1/c.  It is rewritten in z = c + 1/c by peeling
+    the top power: with k = deg_c(num) - n, the coefficient of c^(k+n)
+    times c^n z^k = (c^2 + 1)^k c^(n-k) leaves num.  A residue with k
+    outside [0, n] is not symmetric, which would signal an arithmetic bug,
+    and raises ArithmeticError.
     """
-    m = ((_L1, _L0), (_L0, _L1))
+    one = _ORACLE_RING.one()
+    m = ((one, 0), (0, one))
+    n = 0
     for gen, exp in free_reduce(word):
         step = _MAT[(gen, 1 if exp > 0 else -1)]
         for _ in range(abs(exp)):
             m = _mat_mul(m, step)
-    tr = m[0][0] + m[1][1]
+        if gen == "b":
+            n += abs(exp)
+    num = m[0][0] + m[1][1]
 
     out = RING.zero()
-    zc = _Laurent(_OC**2 + 1, 1)  # c + 1/c
-    while not tr.is_zero():
-        k = tr.num.degree_in("c") - tr.den
-        if k < 0:
-            raise ArithmeticError("asymmetric residue in c: %s / c^%d" % (tr.num, tr.den))
-        lead = tr.num.coeff_in("c", k + tr.den)
-        lead_xyz = lead.map_values({"x": X, "y": Y}, RING)
-        out = out + lead_xyz * RING.monomial("z", k)
-        if k == 0:
-            tr = tr - _lc(lead)
-        else:
-            zk = _L1
-            for _ in range(k):
-                zk = zk * zc
-            tr = tr - _lc(lead) * zk
+    while not num.is_zero():
+        k = num.degree_in("c") - n
+        if not 0 <= k <= n:
+            raise ArithmeticError("asymmetric residue in c: %s / c^%d" % (num, n))
+        lead = num.coeff_in("c", k + n)
+        out = out + lead.map_values({"x": X, "y": Y}, RING) * RING.monomial("z", k)
+        num = num - lead * (_OC**2 + 1) ** k * _ORACLE_RING.monomial("c", n - k)
     return out
 
 

@@ -84,15 +84,14 @@ def _check_linear(var, poly):
     return CertResult(True, details)
 
 
-def _even_descend(poly, var, fresh=None):
-    """Image of an even polynomial under var^2 -> fresh (new ring)."""
+def _even_descend(poly, var):
+    """Image of an even polynomial under var^2 -> w (new ring; w1, w2, ... if taken)."""
     i = poly.ring.index[var]
-    if fresh is None:
-        fresh = "w"
-        k = 0
-        while fresh in poly.ring.names:
-            k += 1
-            fresh = "w%d" % k
+    fresh = "w"
+    k = 0
+    while fresh in poly.ring.names:
+        k += 1
+        fresh = "w%d" % k
     names = tuple(fresh if n == var else n for n in poly.ring.names)
     ring = PolyRing(names)
     terms = {}

@@ -219,3 +219,10 @@ def test_verify_jobs_capped_by_points_and_cpus(capsys, monkeypatch):
     assert code == 0 and requested == [3, 2]
     code, _, _ = run(capsys, "verify", "3", "--k", "0..0", "--jobs", "64")
     assert code == 0 and requested == [3, 2]  # one point runs in-process
+
+
+def test_verify_with_no_points_exit_2(capsys):
+    # b(2p, 3) needs p > 3 and 3 not dividing p, so neither range has a point
+    for argv in (("--p", "6..6"), ("--p", "3..3", "--format", "json")):
+        code, out, err = run(capsys, "verify", "2", *argv)
+        assert code == 2 and out == "" and "no point" in err

@@ -1,5 +1,7 @@
 import pytest
 
+from charvar import traces
+from charvar.links import riley_word
 from charvar.numeric import random_rep, trace_agreement, traces_of, word_matrix
 from charvar.traces import (
     GAMMA,
@@ -120,3 +122,25 @@ def test_block_words_match_oracle():
         w = parse_word("(ba)^%d(BA)^%dB(ab)^%d" % (n, n, n))
         full = word_concat(parse_word("a"), w, parse_word("A B"))
         assert trace_poly(full) == trace_poly_oracle(full)
+
+
+def test_oracle_matches_engine_on_relator_words():
+    # both relator words of b(2p, 3) for p <= 22 and of W_k = b(4k+4, 2k+1)
+    # for k <= 6: up to 46 syllables, beyond the random words' 12
+    specs = [(p, 3) for p in range(4, 23) if p % 3]
+    specs += [(2 * k + 2, 2 * k + 1) for k in range(7)]
+    for p, m in specs:
+        w = riley_word(p, m)
+        for u in (
+            word_concat((("a", 1),), w, (("a", -1), ("b", -1))),
+            word_concat(w, (("b", -1),)),
+        ):
+            assert trace_poly(u) == trace_poly_oracle(u), (p, m, u)
+
+
+def test_oracle_raises_on_asymmetric_residue(monkeypatch):
+    # c^2 / c = c has no c^-1 partner, so it is no polynomial in c + 1/c
+    c = traces._ORACLE_RING.var("c")
+    monkeypatch.setitem(traces._MAT, ("b", 1), ((c**2, 0), (0, 0)))
+    with pytest.raises(ArithmeticError):
+        trace_poly_oracle(parse_word("b"))
