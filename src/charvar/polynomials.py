@@ -10,6 +10,7 @@ share between threads.
 from __future__ import annotations
 
 import math
+from operator import add, lshift
 
 NEG_INF = float("-inf")
 
@@ -89,6 +90,51 @@ def _grlex_key(item):
     return (sum(exp), exp)
 
 
+def _shift(mono, b):
+    """Terms of the one-term map mono times b: a shift never merges two terms."""
+    ((e, c),) = mono.items()
+    if not any(e):
+        return {eb: c * cb for eb, cb in b.items()}
+    return {tuple(map(add, e, eb)): c * cb for eb, cb in b.items()}
+
+
+def _mul_packed(a, b):
+    """Terms of a*b, accumulated under exponent vectors packed into one int.
+
+    One field per variable, each wide enough for the largest exponent sum
+    any variable can reach, so adding two packed keys adds the vectors
+    field by field and never carries (Monagan & Pearce, ISSAC 2009).  When
+    every sum is below 256 the fields are bytes and int.from_bytes/to_bytes
+    do the packing.  Pairs are visited as the tuple-keyed loop visited them
+    and a cancelled key is deleted, so the terms come out in that loop's
+    order, the order a floating-point evaluate sums them in.
+    """
+    top = max(map(add, map(max, zip(*a)), map(max, zip(*b))), default=0)
+    n = len(next(iter(a)))
+    if top < 256:
+        pa = [(int.from_bytes(bytes(e), "big"), c) for e, c in a.items()]
+        pb = [(int.from_bytes(bytes(e), "big"), c) for e, c in b.items()]
+    else:
+        w = top.bit_length()
+        shifts = range(w * (n - 1), -1, -w)
+        pa = [(sum(map(lshift, e, shifts)), c) for e, c in a.items()]
+        pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
+    acc = {}
+    get = acc.get
+    for ka, ca in pa:
+        for kb, cb in pb:
+            k = ka + kb
+            s = get(k, 0) + ca * cb
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    if top < 256:
+        return {tuple(k.to_bytes(n, "big")): c for k, c in acc.items()}
+    mask = (1 << w) - 1
+    return {tuple([(k >> s) & mask for s in shifts]): c for k, c in acc.items()}
+
+
 class Polynomial:
     """An element of a PolyRing; term map from exponent tuple to nonzero int."""
 
@@ -166,15 +212,7 @@ class Polynomial:
         a, b = self.terms, q.terms
         if len(a) > len(b):
             a, b = b, a
-        terms = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = tuple(i + j for i, j in zip(ea, eb))
-                s = terms.get(exp, 0) + ca * cb
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
+        terms = _shift(a, b) if len(a) == 1 else _mul_packed(a, b)
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -475,6 +513,21 @@ def _content_pp(p, v):
     return cont, pp
 
 
+def _monomial_gcd(mono, q):
+    """gcd(c*x^a, q) = gcd(c, content(q)) * x^min(a, least exponents of q).
+
+    The normalized gcd is unique, so this is the remainder sequence's
+    answer in one pass over q's terms.
+    """
+    ((low, g),) = mono.terms.items()
+    for e, c in q.terms.items():
+        g = math.gcd(g, c)
+        low = tuple(map(min, low, e))
+        if g == 1 and not any(low):
+            break
+    return Polynomial(mono.ring, {low: g})
+
+
 def _gcd(p, q):
     if p.is_zero():
         return q.normalized()
@@ -482,6 +535,10 @@ def _gcd(p, q):
         return p.normalized()
     if p.is_constant() and q.is_constant():
         return p.ring.const(math.gcd(p.constant_value(), q.constant_value()))
+    if len(q.terms) == 1:
+        p, q = q, p
+    if len(p.terms) == 1:
+        return _monomial_gcd(p, q)
     v = _main_variable(p, q)
     cp, fp = _content_pp(p, v)
     cq, fq = _content_pp(q, v)

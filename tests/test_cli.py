@@ -1,6 +1,9 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +229,30 @@ def test_verify_with_no_points_exit_2(capsys):
     for argv in (("--p", "6..6"), ("--p", "3..3", "--format", "json")):
         code, out, err = run(capsys, "verify", "2", *argv)
         assert code == 2 and out == "" and "no point" in err
+
+
+def test_trace_weight_limit_exit_2(capsys):
+    code, out, err = run(capsys, "trace", "a^100000")
+    assert code == 2 and out == "" and "weight 100000" in err
+    limit = cli.MAX_TRACE_WEIGHT
+    code, _, err = run(capsys, "trace", "(ab)^%d" % (limit // 2 + 1))
+    assert code == 2 and "limit" in err
+    code, out, _ = run(capsys, "trace", "a^%d" % limit)
+    assert code == 0 and out.strip()
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar", "verify", "1", "--m", "1..1", "--n", "2..2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pass" in proc.stdout

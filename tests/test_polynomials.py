@@ -11,6 +11,8 @@ from charvar.polynomials import (
     poly_gcd,
 )
 
+from charvar.varieties import R_TRIANGULAR, R_WITNESS
+
 from conftest import random_poly
 
 R = PolyRing(("x", "y", "z"))
@@ -151,3 +153,136 @@ def test_big_coefficients_stay_exact():
     p = (X + 10**30) * (X - 10**30)
     assert p == X**2 - 10**60
     assert poly_gcd(p, X + 10**30) == X + 10**30
+
+
+# -- the packed multiply and the monomial gcd rule ------------------------------
+
+
+def naive_mul(p, q):
+    """Tuple-by-tuple product, the smaller term map looped outside.
+
+    A cancelled coefficient is deleted and a later one is appended, so
+    the term order is also the one the product must keep.
+    """
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(i + j for i, j in zip(ea, eb))
+            s = terms.get(exp, 0) + ca * cb
+            if s:
+                terms[exp] = s
+            else:
+                del terms[exp]
+    return terms
+
+
+def assert_product(p, q):
+    for left, right in ((p, q), (q, p)):
+        prod = left * right
+        assert list(prod.terms.items()) == list(naive_mul(left, right).items())
+        assert all(prod.terms.values())
+
+
+@pytest.mark.parametrize("top", [254, 255, 256, 65534, 65535, 65536])
+def test_mul_across_field_width_boundaries(top):
+    # x^top * x: a one-term operand shifts the other
+    x = T_RING.var("t")
+    assert (x**top * x).terms == {(top + 1,): 1}
+    # many-term products whose exponent sums reach top, top + 1 and top + 2
+    # in every field, next to fields that stay small
+    p = R.from_terms({(top, 0, 1): 3, (0, top, 0): -2, (1, 1, top): 5, (0, 0, 0): 7})
+    q = R.from_terms({(1, 0, 0): 1, (0, 2, 1): -4, (0, 0, 1): 6, (0, 0, 0): -1})
+    assert_product(p, q)
+    assert_product(p, p)
+    big = T_RING.from_terms({(top,): 1, (1,): -1, (0,): 2})
+    assert_product(big, big + 1)
+
+
+@pytest.mark.parametrize(
+    "ring", [T_RING, PolyRing(("u", "v")), R, R_WITNESS, R_TRIANGULAR], ids=lambda r: repr(r)
+)
+def test_mul_matches_naive_reference(rng, ring):
+    for _ in range(200):
+        p = random_poly(rng, ring, max_terms=6, max_deg=5)
+        q = random_poly(rng, ring, max_terms=6, max_deg=5)
+        assert_product(p, q)
+
+
+def test_mul_cancellation():
+    # the xy terms cancel to zero on the way
+    assert_product(X + Y, X - Y)
+    assert (X + Y) * (X - Y) == X**2 - Y**2
+    # the constant term cancels, then comes back
+    p = R.from_terms({(1, 0, 0): 1, (0, 0, 0): 1, (0, 1, 0): 1})
+    q = R.from_terms({(1, 0, 0): -1, (0, 0, 0): 1, (0, 1, 0): -1})
+    assert_product(p, q)
+    assert (p * q).terms.get((0, 0, 0)) == 1
+    # products with zero are zero, from both sides
+    assert (p * R.zero()).is_zero() and (R.zero() * p).is_zero() and (p * 0).is_zero()
+    assert (X - X) * p == 0
+
+
+def test_mul_coefficients_of_200_bits(rng):
+    for _ in range(50):
+        p = random_poly(rng, R, max_terms=5, max_deg=4)
+        q = random_poly(rng, R, max_terms=5, max_deg=4)
+        p = R.from_terms({e: c * rng.getrandbits(256) for e, c in p.terms.items()})
+        q = R.from_terms({e: c * (1 << 200) + rng.getrandbits(64) for e, c in q.terms.items()})
+        assert_product(p, q)
+        if p.terms and q.terms:
+            assert max(abs(c).bit_length() for c in (p * q).terms.values()) >= 400
+
+
+def test_mul_monomial_times_polynomial_both_sides(rng):
+    for _ in range(100):
+        p = random_poly(rng, R_WITNESS, max_terms=6, max_deg=4)
+        e = tuple(rng.randint(0, 3) for _ in R_WITNESS.names)
+        mono = R_WITNESS.from_terms({e: rng.choice([-7, -1, 1, 2, 9])})
+        assert_product(mono, p)
+        assert_product(R_WITNESS.const(-3), p)
+        assert 5 * p == p * 5 == R_WITNESS.const(5) * p
+        assert (mono * p).div_exact(mono) == p
+
+
+def test_gcd_with_a_monomial():
+    assert poly_gcd(6 * X * Z, 4 * X**2 * Z + 2 * X * Z**2) == 2 * X * Z
+    assert poly_gcd(4 * X**2 * Z + 2 * X * Z**2, 6 * X * Z) == 2 * X * Z
+    assert poly_gcd(-6 * X * Z, -4 * X**2 * Z - 2 * X * Z**2) == 2 * X * Z
+    # z | q and z does not divide q
+    assert poly_gcd(Z, X * Z - Y**3 * Z**2) == Z
+    assert poly_gcd(Z, X * Z - Y**3).is_one()
+    assert poly_gcd(Z**3, 6 * X * Z**2 + 9 * Z**5) == Z**2
+    # a constant q
+    assert poly_gcd(6 * X * Z, R.const(-4)) == 2
+    assert poly_gcd(R.const(-4), 6 * X * Z) == 2
+    assert poly_gcd(R.const(9), 6 * X + 3 * Y) == 3
+    assert poly_gcd(5 * X, R.const(7)).is_one()
+    # a zero q keeps the monomial, normalized
+    assert poly_gcd(-3 * Y**2, R.zero()) == 3 * Y**2
+
+
+def test_gcd_with_a_monomial_matches_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(R.names)
+
+    def to_sympy(p):
+        return sum(
+            (c * sympy.Mul(*(v**k for v, k in zip(syms, e))) for e, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    for _ in range(50):
+        e = tuple(rng.randint(0, 3) for _ in R.names)
+        mono = R.from_terms({e: rng.choice([-12, -6, -1, 1, 2, 4, 15, 30])})
+        q = random_poly(rng, R, max_terms=5, max_deg=4, max_coeff=12)
+        if rng.random() < 0.5:
+            # share a monomial factor often enough to make the gcd nontrivial
+            shared = tuple(rng.randint(0, 2) for _ in R.names)
+            q = q * R.from_terms({shared: rng.choice([2, 3, 6])})
+        ours = poly_gcd(mono, q)
+        theirs = sympy.gcd(to_sympy(mono), to_sympy(q))
+        assert sympy.expand(to_sympy(ours) - theirs) == 0
+        assert poly_gcd(q, mono) == ours
