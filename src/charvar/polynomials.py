@@ -93,7 +93,7 @@ def _grlex_key(item):
 def _shift(mono, b):
     """Terms of the one-term map mono times b: a shift never merges two terms."""
     ((e, c),) = mono.items()
-    if not any(e):
+    if not any(e):  # a constant factor leaves every exponent as it is
         return {eb: c * cb for eb, cb in b.items()}
     return {tuple(map(add, e, eb)): c * cb for eb, cb in b.items()}
 
@@ -103,22 +103,16 @@ def _mul_packed(a, b):
 
     One field per variable, each wide enough for the largest exponent sum
     any variable can reach, so adding two packed keys adds the vectors
-    field by field and never carries (Monagan & Pearce, ISSAC 2009).  When
-    every sum is below 256 the fields are bytes and int.from_bytes/to_bytes
-    do the packing.  Pairs are visited as the tuple-keyed loop visited them
-    and a cancelled key is deleted, so the terms come out in that loop's
-    order, the order a floating-point evaluate sums them in.
+    field by field and never carries (Monagan & Pearce, ISSAC 2009).
+    Pairs are visited as the tuple-keyed loop visited them and a cancelled
+    key is deleted, so the terms come out in that loop's order, the order
+    a floating-point evaluate sums them in.
     """
-    top = max(map(add, map(max, zip(*a)), map(max, zip(*b))), default=0)
-    n = len(next(iter(a)))
-    if top < 256:
-        pa = [(int.from_bytes(bytes(e), "big"), c) for e, c in a.items()]
-        pb = [(int.from_bytes(bytes(e), "big"), c) for e, c in b.items()]
-    else:
-        w = top.bit_length()
-        shifts = range(w * (n - 1), -1, -w)
-        pa = [(sum(map(lshift, e, shifts)), c) for e, c in a.items()]
-        pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
+    top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
+    w = top.bit_length()
+    shifts = range(w * (len(next(iter(a))) - 1), -1, -w)
+    pa = [(sum(map(lshift, e, shifts)), c) for e, c in a.items()]
+    pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
     acc = {}
     get = acc.get
     for ka, ca in pa:
@@ -129,8 +123,6 @@ def _mul_packed(a, b):
                 acc[k] = s
             else:
                 del acc[k]
-    if top < 256:
-        return {tuple(k.to_bytes(n, "big")): c for k, c in acc.items()}
     mask = (1 << w) - 1
     return {tuple([(k >> s) & mask for s in shifts]): c for k, c in acc.items()}
 

@@ -80,18 +80,33 @@ def word_to_string(word):
     return " ".join(chunks)
 
 
-def parse_word(text):
+def parse_word(text, max_weight=None):
     """Parse a word: lowercase = generator, uppercase = inverse.
 
     Supports optional ^k exponents (k a possibly negative integer) and
     parenthesized blocks like "(ba)^3".  Whitespace is ignored.  The
     result is freely reduced.
+
+    With max_weight set, a word whose weight (sum of |exponent|) is above
+    it raises ValueError, and so does any parenthesized power whose own
+    weight is.  A block is checked before it is repeated: for a nonempty
+    reduced block w, both k and the weight of w are at most the weight of
+    w^k, so a large k is refused without building the k copies.
     """
-    syllables, _ = _parse_chunk(text, 0, toplevel=True)
-    return free_reduce(syllables)
+    syllables, _ = _parse_chunk(text, 0, toplevel=True, max_weight=max_weight)
+    word = free_reduce(syllables)
+    _check_weight(word, max_weight, "word")
+    return word
 
 
-def _parse_chunk(text, i, toplevel):
+def _check_weight(word, max_weight, what):
+    if max_weight is not None:
+        weight = sum(abs(e) for _, e in word)
+        if weight > max_weight:
+            raise ValueError("%s weight %d is above the limit of %d" % (what, weight, max_weight))
+
+
+def _parse_chunk(text, i, toplevel, max_weight):
     out = []
     n = len(text)
     while i < n:
@@ -104,13 +119,22 @@ def _parse_chunk(text, i, toplevel):
                 raise ValueError("unbalanced ')' at position %d" % i)
             return out, i
         if ch == "(":
-            inner, j = _parse_chunk(text, i + 1, toplevel=False)
+            inner, j = _parse_chunk(text, i + 1, toplevel=False, max_weight=max_weight)
             if j >= n or text[j] != ")":
                 raise ValueError("unbalanced '(' at position %d" % i)
             exp, i = _parse_exponent(text, j + 1)
             block = free_reduce(inner)
             if exp < 0:
                 block, exp = word_inverse(block), -exp
+            if max_weight is not None and block and exp:
+                if exp > max_weight:
+                    raise ValueError(
+                        "block power ^%d is above the weight limit of %d" % (exp, max_weight)
+                    )
+                _check_weight(block, max_weight, "block")
+                block = free_reduce(block * exp)
+                _check_weight(block, max_weight, "block power")
+                exp = 1
             out.extend(block * exp)
             continue
         if ch in "abAB":

@@ -239,6 +239,18 @@ def test_trace_weight_limit_exit_2(capsys):
     assert code == 2 and "limit" in err
     code, out, _ = run(capsys, "trace", "a^%d" % limit)
     assert code == 0 and out.strip()
+    # a parenthesized power is refused before its copies are built
+    for word, what in (
+        ("(ab)^1000000000", "power ^1000000000"),
+        ("((ab)^100000)^100000", "power ^100000"),
+        ("(a^1000000000 b)^2", "block weight 1000000001"),
+    ):
+        code, out, err = run(capsys, "trace", word)
+        assert code == 2 and out == "" and what in err and "limit of %d" % limit in err
+    # (abA)^k reduces to a b^k A: a power is measured after free
+    # reduction, not as k times the block's weight
+    code, out, _ = run(capsys, "trace", "(abA)^%d" % (limit - 2))
+    assert code == 0 and out.strip()
 
 
 def test_python_dash_m_runs_the_cli():

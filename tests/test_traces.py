@@ -144,3 +144,15 @@ def test_oracle_raises_on_asymmetric_residue(monkeypatch):
     monkeypatch.setitem(traces._MAT, ("b", 1), ((c**2, 0), (0, 0)))
     with pytest.raises(ArithmeticError):
         trace_poly_oracle(parse_word("b"))
+
+
+def test_parse_word_weight_limit():
+    assert parse_word("(abA)^5", max_weight=7) == (("a", 1), ("b", 5), ("a", -1))
+    assert parse_word("(ab)^3 (BA)^3", max_weight=6) == ()
+    assert parse_word("(ab)^0 ()^100", max_weight=7) == ()
+    # a power is held to the limit even where its neighbours cancel it
+    for text in ("a^8", "(ab)^-4", "((ab)^2)^2", "(ab)^4 (BA)^4", "(a^8 b) B A^8"):
+        with pytest.raises(ValueError):
+            parse_word(text, max_weight=7)
+    # the same words parse unchanged without a limit
+    assert parse_word("((ab)^2)^2") == parse_word("(ab)^4")
