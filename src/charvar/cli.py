@@ -21,9 +21,14 @@ ENGINE_VERSION = "charvar-0.1.0"
 
 # `trace` refuses a word whose weight (sum of |exponent|), or that of any
 # parenthesized power in it, is above this.
-# At the limit a^200, (ab)^100 and (ab^2)^66 take 0.2 to 1.9 s on a 2-CPU
-# VM; other words of the same weight, or far less, can take much longer.
+# At the limit a^200, (ab)^100 and (ab^2)^66 take 0.3 s and (aB)^100 0.6 s
+# on a 2-CPU VM, but (abAB)^50 takes 6.6 s in the ring (66 351 terms);
+# irregular words of the same weight, or far less, can take much longer.
 MAX_TRACE_WEIGHT = 200
+
+# `verify` refuses ranges with more points than this, counted before any
+# point is built.  The default ranges have 81, 13 and 11 points.
+MAX_VERIFY_POINTS = 10000
 
 
 class CacheError(Exception):
@@ -71,7 +76,9 @@ def cached_char_poly(p, m, cache_dir=None, no_cache=False):
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump({"engine": ENGINE_VERSION, "p": p, "m": m, "full": full.to_json()}, fh)
+            # json.dumps runs the C encoder; json.dump streams through the
+            # pure-Python one.  The bytes are the same.
+            fh.write(json.dumps({"engine": ENGINE_VERSION, "p": p, "m": m, "full": full.to_json()}))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -247,25 +254,33 @@ def cmd_verify(args):
     if args.family == "1":
         lo_m, hi_m = _parse_range(args.m)
         lo_n, hi_n = _parse_range(args.n)
-        points = [(m, n) for m in range(lo_m, hi_m + 1) for n in range(lo_n, hi_n + 1)]
+        count = (hi_m - lo_m + 1) * (hi_n - lo_n + 1)
+        points = ((m, n) for m in range(lo_m, hi_m + 1) for n in range(lo_n, hi_n + 1))
         point_fn = _pretzel_point
     else:
         if args.family == "2":
             lo, hi = _parse_range(args.p)
             family = _twobridge3_family
-            params = [p for p in range(lo, hi + 1) if p > 3 and p % 3 != 0]
+            # p > 3 with 3 not dividing p, counted as t - t // 3 of 1..t
+            start = max(lo, 4) - 1
+            count = max(0, (hi - hi // 3) - (start - start // 3))
+            params = (p for p in range(lo, hi + 1) if p > 3 and p % 3 != 0)
         else:
             lo, hi = _parse_range(args.k)
             if lo < 0:
                 raise ValueError("twist counts start at 0")
             family = _whitehead_family
+            count = hi - lo + 1
             params = range(lo, hi + 1)
-        points = [(family, t, args.seed, args.cache_dir, args.no_cache) for t in params]
+        points = ((family, t, args.seed, args.cache_dir, args.no_cache) for t in params)
         point_fn = _two_bridge_point
-    if not points:
+    if not count:
         # a run that checks nothing must not report success
         raise ValueError("the given ranges contain no point of family %s" % args.family)
-    rows = _run_points(point_fn, points, args.jobs)
+    if count > MAX_VERIFY_POINTS:
+        raise ValueError("the given ranges contain %d points, above the limit of %d"
+                         % (count, MAX_VERIFY_POINTS))
+    rows = _run_points(point_fn, list(points), args.jobs)
     _print_rows(rows, args.format)
     return 0 if all(row["pass"] for row in rows) else 1
 

@@ -248,29 +248,56 @@ def _compute(u):
 def _find_block(u):
     """Best repeated contiguous block over all rotations, or None.
 
-    Returns (prefix, block, repeats, suffix) for the rotation maximizing
-    the weight removed by one application of the power identity.
+    Returns (prefix, block, repeats, suffix): a rotation w = u[r:] + u[:r]
+    equals prefix + block * repeats + suffix, the block has L >= 2
+    syllables and starts at position i of w, and repeats >= 2 is as large
+    as w allows.  The choice maximizes (repeats - 1) * weight(block), the
+    weight one application of the power identity removes.  Ties go to the
+    smallest r, then the smallest L, then the smallest i.  The choice
+    decides which subwords are memoised and the term order of the result,
+    so this order is part of the contract.
+
+    The block of length L at cyclic position s repeats k times iff the
+    syllables from s agree with those L further on for (k - 1) L
+    positions; one backward scan over u + u per L gives that run for
+    every s, so the search is O(n^2) in the syllable count n.  Rotation
+    r = s (i = 0) leaves the most room, and k copies fit in rotation r
+    iff i = s - r is at most n - k L, so each (s, L) with the largest
+    saving first appears in rotation max(0, s - (n - k L)).
     """
     n = len(u)
-    best = None
+    uu = u + u
+    cum = [0]
+    for _, e in uu:
+        cum.append(cum[-1] + abs(e))
     best_saved = 0
-    for r in range(n):
-        w = u[r:] + u[:r]
-        for L in range(2, n // 2 + 1):
-            limit = n - 2 * L
-            for i in range(limit + 1):
-                block = w[i : i + L]
-                reps = 1
-                j = i + L
-                while j + L <= n and w[j : j + L] == block:
-                    reps += 1
-                    j += L
-                if reps >= 2:
-                    saved = (reps - 1) * sum(abs(e) for _, e in block)
-                    if saved > best_saved:
-                        best_saved = saved
-                        best = (w[:i], block, reps, w[j:])
-    return best
+    best = None  # (r, L, i, reps)
+    for L in range(2, n // 2 + 1):
+        cap = n - L  # agreement beyond this cannot fit in one rotation
+        run = 0
+        # positions s >= n repeat s - n and are scanned only to seed the
+        # runs; the run from s = n - 1 needs cap positions, up to 2n - L - 2
+        for t in range(2 * n - L - 2, n - 1, -1):
+            run = run + 1 if uu[t] == uu[t + L] else 0
+        for s in range(n - 1, -1, -1):
+            run = run + 1 if uu[s] == uu[s + L] else 0
+            if run < L:
+                continue
+            reps = 1 + min(run, cap) // L
+            saved = (reps - 1) * (cum[s + L] - cum[s])
+            if saved < best_saved:
+                continue
+            r = max(0, s - (n - reps * L))
+            key = (r, L, s - r, reps)
+            if saved > best_saved or key < best:
+                best_saved = saved
+                best = key
+    if best is None:
+        return None
+    r, L, i, reps = best
+    w = u[r:] + u[:r]
+    j = i + reps * L
+    return w[:i], w[i : i + L], reps, w[j:]
 
 
 def _block_reduce(prefix, block, reps, suffix):

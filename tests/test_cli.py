@@ -268,3 +268,32 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "pass" in proc.stdout
+
+
+def test_verify_point_limit_exit_2(capsys, monkeypatch):
+    # the count is exact and checked before any point is built or run
+    seen = []
+
+    def record_only(fn, points, jobs):
+        seen.append(len(points))
+        return []
+
+    monkeypatch.setattr(cli, "_run_points", record_only)
+    limit = cli.MAX_VERIFY_POINTS
+    assert limit == 10000
+    within = (("1", "--m", "1..100", "--n", "1..100"), ("2", "--p", "1..15003"), ("3", "--k", "0..9999"))
+    for argv in within:
+        code, _, _ = run(capsys, "verify", *argv)
+        assert code == 0
+    assert seen == [limit] * 3
+    beyond = (
+        ("1", "--m", "1..100", "--n", "1..101"),
+        ("1", "--m=-100000..100000", "--n=-100000..100000"),
+        ("2", "--p", "1..15004"),
+        ("3", "--k", "0..10000"),
+        ("3", "--k", "0..1000000000000"),
+    )
+    for argv in beyond:
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "limit of %d" % limit in err
+    assert seen == [limit] * 3

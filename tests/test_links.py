@@ -146,3 +146,15 @@ def test_whitehead_products_match_word_derived():
         full = char_poly_twobridge(2 * k + 2, 2 * k + 1).full
         prod = r * c * q
         assert full == prod or full == -prod
+
+
+def test_twobridge3_word_derived_far_beyond_the_verify_range():
+    # Riley words of 199 to 399 syllables, with the sign of p = 4 or 5,
+    # whichever shares the residue of p mod 3
+    def product(p):
+        return REDUCIBLE_SURFACE * twobridge3_nonabelian(p)
+
+    for p in (100, 101, 200):
+        base = 4 if p % 3 == 1 else 5
+        sign = 1 if char_poly_twobridge(base, 3).full == product(base) else -1
+        assert char_poly_twobridge(p, 3).full == sign * product(p), p

@@ -9,6 +9,7 @@ from charvar.traces import (
     Y,
     Z,
     canonical_form,
+    cyclic_reduce,
     parse_word,
     trace_identity_suite,
     trace_poly,
@@ -156,3 +157,63 @@ def test_parse_word_weight_limit():
             parse_word(text, max_weight=7)
     # the same words parse unchanged without a limit
     assert parse_word("((ab)^2)^2") == parse_word("(ab)^4")
+
+
+def _find_block_reference(u):
+    # the block search as first written, kept to pin traces._find_block:
+    # every rotation r, block length L and start i, in that order, with
+    # the first strictly largest saving kept
+    n = len(u)
+    best = None
+    best_saved = 0
+    for r in range(n):
+        w = u[r:] + u[:r]
+        for L in range(2, n // 2 + 1):
+            limit = n - 2 * L
+            for i in range(limit + 1):
+                block = w[i : i + L]
+                reps = 1
+                j = i + L
+                while j + L <= n and w[j : j + L] == block:
+                    reps += 1
+                    j += L
+                if reps >= 2:
+                    saved = (reps - 1) * sum(abs(e) for _, e in block)
+                    if saved > best_saved:
+                        best_saved = saved
+                        best = (w[:i], block, reps, w[j:])
+    return best
+
+
+def test_find_block_matches_reference(rng):
+    words = []
+    for max_exp in (1, 4):
+        for _ in range(150):
+            words.append(cyclic_reduce(random_word(rng, max_syllables=40, max_exp=max_exp)))
+    for text in ("ab", "aB", "ab^2", "a^2B^3", "abAB", "abaB", "aBAb^2", "abA^3B^2"):
+        for k in range(1, 12):
+            for tail in ("", "a^5", "b^-3a"):
+                words.append(cyclic_reduce(parse_word("(%s)^%d %s" % (text, k, tail))))
+    specs = [(p, 3) for p in range(4, 36) if p % 3]
+    specs += [(2 * k + 2, 2 * k + 1) for k in range(13)]
+    for p, m in specs:
+        w = riley_word(p, m)
+        words.append(canonical_form(word_concat((("a", 1),), w, (("a", -1), ("b", -1)))))
+        words.append(canonical_form(word_concat(w, (("b", -1),))))
+    found = 0
+    for u in words:
+        expected = _find_block_reference(u)
+        assert traces._find_block(u) == expected, u
+        found += expected is not None
+    assert found > len(words) // 2
+
+
+def test_find_block_none_without_repeats():
+    # fewer than 4 syllables leave no room for two copies of a block
+    for text in ("", "a", "a^3", "ab", "aB^2", "abA", "a^2bA^-3"):
+        u = parse_word(text)
+        assert traces._find_block(u) is None and _find_block_reference(u) is None
+    # every syllable distinct: no block repeats in any rotation
+    for n in (4, 9, 20):
+        u = tuple(("ab"[j % 2], j + 1) for j in range(n))
+        assert traces._find_block(u) is None and _find_block_reference(u) is None
