@@ -12,6 +12,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import links, numeric, varieties
 from .polynomials import from_json
@@ -29,6 +30,16 @@ MAX_TRACE_WEIGHT = 200
 # `verify` refuses ranges with more points than this, counted before any
 # point is built.  The default ranges have 81, 13 and 11 points.
 MAX_VERIFY_POINTS = 10000
+
+# `charpoly`, `components` and `verify` refuse a link above its family's
+# limit, checking every point of a range, before any polynomial is built.
+# The slowest input at each limit on a 2-CPU VM: components pretzel:-5,-5
+# 1.2 s (pretzel:-6,-6 3.5 s, pretzel:-7,-7 16 s); charpoly twobridge:37,31
+# 3.7 s (twobridge:38,21 7.9 s, twobridge:44,19 over 40 s); components
+# whitehead:24 4.0 s.  A `verify` range takes the sum of its points.
+MAX_PRETZEL = 5  # max(|m|, |n|) of pretzel:m,n
+MAX_TWOBRIDGE_P = 37  # p of twobridge:p,m and of verify 2's b(2p, 3)
+MAX_WHITEHEAD_K = 24  # k of whitehead:k
 
 
 class CacheError(Exception):
@@ -107,11 +118,24 @@ def _parse_range(text):
     return lo, hi
 
 
+def _check_limits(link):
+    """Return link, or raise ValueError if it is above its family's limit."""
+    if isinstance(link, links.Pretzel):
+        what, size, limit = "max(|m|, |n|)", max(abs(link.m), abs(link.n)), MAX_PRETZEL
+    elif isinstance(link, links.TwistedWhitehead):
+        what, size, limit = "k", link.k, MAX_WHITEHEAD_K
+    else:
+        what, size, limit = "p", link.p, MAX_TWOBRIDGE_P
+    if size > limit:
+        raise ValueError("%s: %s = %d is above the limit of %d" % (link, what, size, limit))
+    return link
+
+
 # -- verify drivers ---------------------------------------------------------------
 
 
-def _pretzel_point(args):
-    m, n = args
+def _pretzel_point(link):
+    m, n = link.m, link.n
     rep = varieties.count_components_pretzel(m, n)
     expected = varieties.pretzel_table_count(m, n)
     row = rep.to_json()
@@ -120,18 +144,22 @@ def _pretzel_point(args):
     return row
 
 
-# a two-bridge family maps its parameter to (report, (p, m), expected
-# count, closed-form product); the product is only built for a cache check
+# a two-bridge family maps its link to (report, (p, m), expected count,
+# closed-form product); the product is only built for a cache check
 
 
-def _twobridge3_family(p):
+def _twobridge3_family(link):
+    p = link.p
+
     def closed_form():
         return links.REDUCIBLE_SURFACE * links.twobridge3_nonabelian(p)
 
     return varieties.verify_twobridge3(p), (p, 3), 2, closed_form
 
 
-def _whitehead_family(k):
+def _whitehead_family(link):
+    k = link.k
+
     def closed_form():
         r, c, q = links.twisted_whitehead_factors(k)
         return r * c * q
@@ -141,9 +169,8 @@ def _whitehead_family(k):
     return varieties.verify_twisted_whitehead(k), (2 * k + 2, 2 * k + 1), expected, closed_form
 
 
-def _two_bridge_point(args):
-    family, t, seed, cache_dir, no_cache = args
-    rep, (p, m), expected, closed_form = family(t)
+def _two_bridge_point(family, seed, cache_dir, no_cache, link):
+    rep, (p, m), expected, closed_form = family(link)
     row = rep.to_json()
     row["expected_count"] = expected
     ok = rep.ok() and rep.component_count == expected
@@ -162,6 +189,9 @@ def _two_bridge_point(args):
 
 
 def _run_points(fn, points, jobs):
+    # points are links; none is built unless all are within their limits
+    for link in points:
+        _check_limits(link)
     # a fork-started pool launches all of its workers at once, so never
     # ask for more than there are points or CPUs
     workers = min(jobs, len(points), os.cpu_count() or 1)
@@ -204,7 +234,7 @@ def cmd_trace(args):
 
 
 def cmd_charpoly(args):
-    spec = links.parse_link(args.link)
+    spec = _check_limits(links.parse_link(args.link))
     if isinstance(spec, links.Pretzel):
         poly = links.pretzel_char_poly(spec.m, spec.n).full
     else:
@@ -215,7 +245,7 @@ def cmd_charpoly(args):
 
 
 def cmd_components(args):
-    spec = links.parse_link(args.link)
+    spec = _check_limits(links.parse_link(args.link))
     if isinstance(spec, links.Pretzel):
         rep = varieties.count_components_pretzel(spec.m, spec.n)
     elif isinstance(spec, links.TwistedWhitehead):
@@ -255,7 +285,8 @@ def cmd_verify(args):
         lo_m, hi_m = _parse_range(args.m)
         lo_n, hi_n = _parse_range(args.n)
         count = (hi_m - lo_m + 1) * (hi_n - lo_n + 1)
-        points = ((m, n) for m in range(lo_m, hi_m + 1) for n in range(lo_n, hi_n + 1))
+        points = (links.Pretzel(m, n) for m in range(lo_m, hi_m + 1)
+                  for n in range(lo_n, hi_n + 1))
         point_fn = _pretzel_point
     else:
         if args.family == "2":
@@ -264,16 +295,15 @@ def cmd_verify(args):
             # p > 3 with 3 not dividing p, counted as t - t // 3 of 1..t
             start = max(lo, 4) - 1
             count = max(0, (hi - hi // 3) - (start - start // 3))
-            params = (p for p in range(lo, hi + 1) if p > 3 and p % 3 != 0)
+            points = (links.TwoBridge(p, 3) for p in range(lo, hi + 1) if p > 3 and p % 3 != 0)
         else:
             lo, hi = _parse_range(args.k)
             if lo < 0:
                 raise ValueError("twist counts start at 0")
             family = _whitehead_family
             count = hi - lo + 1
-            params = range(lo, hi + 1)
-        points = ((family, t, args.seed, args.cache_dir, args.no_cache) for t in params)
-        point_fn = _two_bridge_point
+            points = (links.TwistedWhitehead(k) for k in range(lo, hi + 1))
+        point_fn = partial(_two_bridge_point, family, args.seed, args.cache_dir, args.no_cache)
     if not count:
         # a run that checks nothing must not report success
         raise ValueError("the given ranges contain no point of family %s" % args.family)

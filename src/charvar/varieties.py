@@ -338,8 +338,15 @@ def _report(link, factors, full, variant=None, notes=()):
 R_X1 = PolyRing(("x1", "y", "z"))
 R_B2 = PolyRing(("x1", "y", "b2"))
 R_Q3 = PolyRing(("x2", "y", "b2"))
-R_WITNESS = PolyRing(("x", "y", "z", "x1"))
-R_TRIANGULAR = PolyRing(("x1", "y", "w", "b2"))
+
+
+def _witness(new, mapping, target, details, identity, verified):
+    """Whether new[mapping] = target exactly, in target's ring; records the outcome."""
+    if new.map_values(mapping, target.ring) != target:
+        details.append("witness identity %s failed" % identity)
+        return False
+    details.append(verified)
+    return True
 
 
 def _restrict_to_x1(q, q1, details):
@@ -355,17 +362,9 @@ def _restrict_to_x1(q, q1, details):
     if not poly_gcd(R_X1.var("z"), q1).is_one():
         details.append("gcd(z, transformed polynomial) != 1; chain invalid")
         return False
-    w = R_WITNESS
-    mapped = q1.map_values(
-        {"x1": w.var("x") * w.var("z") - w.var("y"), "y": w.var("y"), "z": w.var("z")},
-        w,
-    )
-    if mapped != q.cast(w):
-        details.append("witness identity q1[x1 -> xz - y] = q failed")
-        return False
-    details.append("x -> (x1 + y)/z change is valid: gcd(z, .) = 1 both sides and "
-                   "q1[x1 -> x z - y] = q exactly")
-    return True
+    return _witness(q1, {"x1": X * Z - Y, "y": Y, "z": Z}, q, details, "q1[x1 -> xz - y] = q",
+                    "x -> (x1 + y)/z change is valid: gcd(z, .) = 1 both sides and "
+                    "q1[x1 -> x z - y] = q exactly")
 
 
 def _triangular_descent(q1, q2, details):
@@ -379,20 +378,11 @@ def _triangular_descent(q1, q2, details):
     except ValueError:
         details.append("polynomial is not even in z")
         return None
-    t = R_TRIANGULAR
-    mapped = q2.map_values(
-        {
-            "x1": t.var("x1"),
-            "y": t.var("y"),
-            "b2": t.var("x1") * t.var("y") + 2 - t.var("w"),
-        },
-        t,
-    )
-    if mapped != image.cast(t):
-        details.append("witness identity q2[b2 -> x1 y + 2 - w] = image failed")
-        return None
-    details.append("triangular move b2 = x1 y + 2 - z^2 verified exactly")
-    return image
+    x1, y, w = (image.ring.var(v) for v in image.ring.names)
+    ok = _witness(q2, {"x1": x1, "y": y, "b2": x1 * y + 2 - w}, image, details,
+                  "q2[b2 -> x1 y + 2 - w] = image",
+                  "triangular move b2 = x1 y + 2 - z^2 verified exactly")
+    return image if ok else None
 
 
 # the coordinate triples (x1, y, beta) the pretzel builders run in:
@@ -403,17 +393,17 @@ _X1_COORDS = (_x1, _y1, _x1 * _y1 + 2 - _z1**2)
 _B2_COORDS = tuple(R_B2.var(v) for v in R_B2.names)
 
 
-def _pretzel_chain(name, build, final):
+def _pretzel_chain(name, q, build, final):
     """The certificate chain both pretzel certificates share.
 
-    build(x1, y, beta) gives the polynomial in each coordinate triple:
-    name in RING, name1 in R_X1 and name2 in R_B2.  The chain restricts
+    q is the polynomial being certified, called name, in RING.
+    build(x1, y, beta) gives name1 in R_X1 and name2 in R_B2, each tied
+    to the one before by an exact witness identity.  The chain restricts
     x to x1, descends through z^2 and the triangular move to name2, runs
     final(name2, details), which must certify name2 irreducible, and
     lifts the result back through the z-square obstruction on name1.
     """
     details = []
-    q = build(*_XZ_COORDS)
     q1 = build(*_X1_COORDS)
     if not _restrict_to_x1(q, q1, details):
         return CertResult(False, details)
@@ -455,16 +445,18 @@ def _move_to_x2(m, n, q2, details):
     details.append("gcd(S_{m-2}(b2), q2) = 1")
     q3 = _pretzel_q3(m, n)
     alpha2 = y * cheb_at(m - 1, b2) - x1 * s_m2
-    if q3.map_values({"x2": alpha2, "y": y, "b2": b2}, R_B2) != s_m2 * q2:
-        details.append("witness identity q3[x2 -> alpha2] = S_{m-2}(b2) q2 failed")
-        return False
-    details.append("x1 -> (y S_{m-1}(b2) - x2)/S_{m-2}(b2) move verified exactly")
-    return _linear_in_y("q3", q3, details)
+    ok = _witness(q3, {"x2": alpha2, "y": y, "b2": b2}, s_m2 * q2, details,
+                  "q3[x2 -> alpha2] = S_{m-2}(b2) q2",
+                  "x1 -> (y S_{m-1}(b2) - x2)/S_{m-2}(b2) move verified exactly")
+    return ok and _linear_in_y("q3", q3, details)
 
 
-def certify_pretzel_generic(m, n):
-    """Irreducibility chain for Q(m, n) with m not in {0, 1}, n not in {-1, 0}."""
-    return _pretzel_chain("q", partial(links.pretzel_q, m, n), partial(_move_to_x2, m, n))
+def certify_pretzel_generic(m, n, q):
+    """Irreducibility chain for the caller's q, which must be Q(m, n) in RING.
+
+    Needs m not in {0, 1} and n not in {-1, 0}.
+    """
+    return _pretzel_chain("q", q, partial(links.pretzel_q, m, n), partial(_move_to_x2, m, n))
 
 
 def _pretzel_R(m):
@@ -475,9 +467,9 @@ def _pretzel_R2(m):
     return links.pretzel_r(m, *_B2_COORDS)
 
 
-def certify_pretzel_extra_twist(m):
-    """Irreducibility chain for the cofactor R in the n = -1 case, m != 0."""
-    return _pretzel_chain("r", partial(links.pretzel_r, m), partial(_linear_in_y, "r2"))
+def certify_pretzel_extra_twist(m, r):
+    """Irreducibility chain for the caller's r, which must be the n = -1 cofactor R(m), m != 0."""
+    return _pretzel_chain("r", r, partial(links.pretzel_r, m), partial(_linear_in_y, "r2"))
 
 
 def certify_rotated_even(q, slice_z=None):
@@ -562,10 +554,9 @@ def count_components_pretzel(m, n):
     elif n == -1:
         univ = cheb(m - 1) if m >= 1 else cheb(-m - 1)
         factors.append(_cheb_family_factor(univ, links.pretzel_beta()))
-        res = certify_pretzel_extra_twist(m)
-        factors.append(
-            _explicit_factor(_pretzel_R(m), SquareObstruction("z"), res)
-        )
+        r = _pretzel_R(m)
+        res = certify_pretzel_extra_twist(m, r)
+        factors.append(_explicit_factor(r, SquareObstruction("z"), res))
     elif m == 1:
         if n == 2:
             factors += [_linear_factor(Z - 1, "z"), _linear_factor(Z + 1, "z")]
@@ -574,7 +565,7 @@ def count_components_pretzel(m, n):
         else:
             factors.append(_linear_factor(cp.nonabelian, "x"))
     else:
-        res = certify_pretzel_generic(m, n)
+        res = certify_pretzel_generic(m, n, cp.nonabelian)
         factors.append(_explicit_factor(cp.nonabelian, SquareObstruction("z"), res))
     return _report(link, factors, cp.full, notes=notes)
 

@@ -297,3 +297,88 @@ def test_verify_point_limit_exit_2(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and "limit of %d" % limit in err
     assert seen == [limit] * 3
+
+
+class Built(Exception):
+    pass
+
+
+def stub_builders(monkeypatch):
+    """Make every polynomial builder the CLI reaches record its call and raise."""
+    calls = []
+
+    def stub(name):
+        def builder(*args):
+            calls.append((name,) + args)
+            raise Built(name)
+
+        return builder
+
+    for module, name in (
+        (cli.links, "pretzel_char_poly"),
+        (cli.links, "char_poly_twobridge"),
+        (cli.varieties, "count_components_pretzel"),
+        (cli.varieties, "verify_twobridge3"),
+        (cli.varieties, "verify_twisted_whitehead"),
+    ):
+        monkeypatch.setattr(module, name, stub(name))
+    return calls
+
+
+def test_link_limits_exit_2_before_any_build(capsys, monkeypatch):
+    calls = stub_builders(monkeypatch)
+    for argv, limit in (
+        (("components", "pretzel:10,10"), "max(|m|, |n|) = 10 is above the limit of 5"),
+        (("charpoly", "pretzel:50,50"), "max(|m|, |n|) = 50 is above the limit of 5"),
+        (("components", "whitehead:100000"), "k = 100000 is above the limit of 24"),
+        (("charpoly", "pretzel:3,100000"), "max(|m|, |n|) = 100000 is above"),
+        (("verify", "2", "--p", "100000..100001"), "p = 100000 is above the limit of 37"),
+        (("verify", "3", "--k", "5000..5000"), "k = 5000 is above the limit of 24"),
+        (("components", "pretzel:7,7"), "max(|m|, |n|) = 7 is above"),
+        (("components", "pretzel:-6,-6"), "max(|m|, |n|) = 6 is above"),
+        (("components", "whitehead:30"), "k = 30 is above"),
+        (("charpoly", "twobridge:1000,3"), "p = 1000 is above"),
+        (("charpoly", "twobridge:38,21", "--no-cache"), "p = 38 is above"),
+        (("components", "twobridge:62,61"), "p = 62 is above"),
+        # every point of a range is checked before the first is built
+        (("verify", "1", "--m=-5..6", "--n", "0..0"), "pretzel:6,0: max(|m|, |n|) = 6"),
+        (("verify", "1", "--m", "0..0", "--n=-6..-5"), "pretzel:0,-6: max(|m|, |n|) = 6"),
+        (("verify", "2", "--p", "4..38"), "twobridge:38,3: p = 38 is above"),
+        (("verify", "3", "--k", "0..25", "--jobs", "2"), "whitehead:25: k = 25 is above"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and limit in err, (argv, err)
+    assert calls == []
+
+
+def test_link_limits_accept_the_limit(capsys, monkeypatch):
+    calls = stub_builders(monkeypatch)
+    for argv, call in (
+        (("charpoly", "pretzel:-5,5"), ("pretzel_char_poly", -5, 5)),
+        (("components", "pretzel:5,-5"), ("count_components_pretzel", 5, -5)),
+        (("charpoly", "twobridge:37,31"), ("char_poly_twobridge", 37, 31)),
+        (("charpoly", "whitehead:24"), ("char_poly_twobridge", 50, 49)),
+        (("components", "twobridge:37,3"), ("verify_twobridge3", 37)),
+        (("components", "whitehead:24"), ("verify_twisted_whitehead", 24)),
+        (("verify", "1", "--m=-5..5", "--n=5..5"), ("count_components_pretzel", -5, 5)),
+        (("verify", "2", "--p", "37..37"), ("verify_twobridge3", 37)),
+        (("verify", "3", "--k", "24..24"), ("verify_twisted_whitehead", 24)),
+    ):
+        with pytest.raises(Built):
+            main(list(argv))
+        assert calls.pop() == call and calls == [], argv
+    # the default ranges and the largest range in each family pass the check
+    for argv in (
+        ("verify", "1"),
+        ("verify", "2"),
+        ("verify", "3"),
+        ("verify", "1", "--m=-5..5", "--n=-5..5"),
+        ("verify", "2", "--p", "4..37"),
+        ("verify", "3", "--k", "0..24"),
+    ):
+        with pytest.raises(Built):
+            main(list(argv))
+        assert len(calls) == 1, argv
+        calls.clear()
+    # the limits are the CLI's: the link catalog stays total
+    assert str(cli.links.parse_link("pretzel:50,-50")) == "pretzel:50,-50"

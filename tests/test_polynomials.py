@@ -11,14 +11,15 @@ from charvar.polynomials import (
     poly_gcd,
 )
 
-from charvar.varieties import R_TRIANGULAR, R_WITNESS
-
 from conftest import random_poly
 
 R = PolyRing(("x", "y", "z"))
 X, Y, Z = R.var("x"), R.var("y"), R.var("z")
 T_RING = PolyRing(("t",))
 T = T_RING.var("t")
+# four-variable rings whose names are not in the xyz order
+R_WITNESS = PolyRing(("x", "y", "z", "x1"))
+R_TRIANGULAR = PolyRing(("x1", "y", "w", "b2"))
 
 
 def test_basic_examples():

@@ -9,6 +9,8 @@ from charvar.varieties import (
     DegenerateExplicit,
     LinearInVariable,
     SquareObstruction,
+    certify_pretzel_extra_twist,
+    certify_pretzel_generic,
     check_certificate,
     count_components_pretzel,
     pretzel_table_count,
@@ -16,7 +18,14 @@ from charvar.varieties import (
     verify_twisted_whitehead,
     verify_twobridge3,
 )
-from charvar.varieties import _pretzel_R, _pretzel_R2
+from charvar.varieties import (
+    _B2_COORDS,
+    _X1_COORDS,
+    _move_to_x2,
+    _pretzel_R,
+    _pretzel_R2,
+    _triangular_descent,
+)
 
 
 def test_certificate_linear_pass():
@@ -68,6 +77,49 @@ def test_certificate_square_obstruction_with_w_in_ring():
 def test_reducible_surface():
     assert REDUCIBLE_SURFACE == GAMMA - 2
     assert reducible_surface_check()
+
+
+Q1_FAILED = "witness identity q1[x1 -> xz - y] = q failed"
+
+
+def test_pretzel_chains_certify_only_the_polynomial_handed_in():
+    q = links.pretzel_nonabelian(2, 2)
+    assert certify_pretzel_generic(2, 2, q).ok
+    res = certify_pretzel_generic(2, 2, q + Z)
+    assert not res.ok and res.details[-1] == Q1_FAILED
+    r = _pretzel_R(3)
+    assert certify_pretzel_extra_twist(3, r).ok
+    res = certify_pretzel_extra_twist(3, 2 * r)
+    assert not res.ok and res.details[-1] == Q1_FAILED
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, -2), (-2, 3)])
+def test_triangular_descent_witness(m, n):
+    q1 = links.pretzel_q(m, n, *_X1_COORDS)
+    q2 = links.pretzel_q(m, n, *_B2_COORDS)
+    details = []
+    image = _triangular_descent(q1, q2, details)
+    assert image is not None and image.ring.names == ("x1", "y", "w")
+    assert details == ["triangular move b2 = x1 y + 2 - z^2 verified exactly"]
+    for wrong in (q2 + 1, q2 * _B2_COORDS[2], -q2):
+        details = []
+        assert _triangular_descent(q1, wrong, details) is None
+        assert details == ["witness identity q2[b2 -> x1 y + 2 - w] = image failed"]
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, -2), (-2, 3)])
+def test_move_to_x2_witness(m, n):
+    q2 = links.pretzel_q(m, n, *_B2_COORDS)
+    details = []
+    assert _move_to_x2(m, n, q2, details)
+    assert details[1] == "x1 -> (y S_{m-1}(b2) - x2)/S_{m-2}(b2) move verified exactly"
+    for wrong in (q2 + 1, -q2):
+        details = []
+        assert not _move_to_x2(m, n, wrong, details)
+        assert details == [
+            "gcd(S_{m-2}(b2), q2) = 1",
+            "witness identity q3[x2 -> alpha2] = S_{m-2}(b2) q2 failed",
+        ]
 
 
 def test_pell_rearrangement_identity():
