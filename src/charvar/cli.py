@@ -16,7 +16,7 @@ from functools import partial
 
 from . import links, numeric, varieties
 from .polynomials import from_json
-from .traces import parse_word, trace_poly
+from .traces import RING, parse_word, trace_poly
 
 ENGINE_VERSION = "charvar-0.1.0"
 
@@ -57,10 +57,11 @@ def cached_char_poly(p, m, cache_dir=None, no_cache=False):
     """Word-derived defining polynomial, optionally through an on-disk cache.
 
     An entry from another engine version is recomputed; one that cannot
-    be parsed, or whose recorded (p, m) is not its key, raises CacheError.
-    Nothing else about a hit is checked here: only `verify` compares it
-    with the closed forms.  Entries are written to a temporary file and
-    renamed into place, never left half-written.
+    be parsed, whose recorded (p, m) is not its key, or whose polynomial
+    is not in the variables (x, y, z), raises CacheError.  Nothing else
+    about a hit is checked here: only `verify` compares it with the
+    closed forms.  Entries are written to a temporary file and renamed
+    into place, never left half-written.
     """
     if no_cache or cache_dir is None:
         return links.char_poly_twobridge(p, m).full
@@ -78,7 +79,7 @@ def cached_char_poly(p, m, cache_dir=None, no_cache=False):
                 raise CacheError("cache entry %s is for (p, m) = (%r, %r), not (%d, %d)"
                                  % (path, data.get("p"), data.get("m"), p, m))
             try:
-                return from_json(data["full"])
+                return from_json(data["full"], RING)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CacheError("malformed cache entry %s: %s" % (path, exc)) from None
         # stale engine version: recompute and overwrite below

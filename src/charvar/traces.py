@@ -14,8 +14,10 @@ to a handful of short words with Chebyshev coefficients.
 
 trace_poly_oracle recomputes the same polynomial by multiplying explicit
 SL2 matrices, with every b-letter scaled by c so that all entries are
-polynomials in x, y, c, and rewriting the trace in z = c + 1/c; it shares
-no code path with the reduction engine.
+polynomials in x, y, c, and rewriting the trace in z = c + 1/c.  It works
+on term maps under packed-int exponent keys, one column pass per letter,
+and builds a single Polynomial at the end; it shares only PolyRing,
+Polynomial and free_reduce with the reduction engine.
 
 Words are tuples of (generator, exponent) syllables with generators in
 {"a", "b"}, nonzero exponents, and distinct adjacent generators.
@@ -23,8 +25,11 @@ Words are tuples of (generator, exponent) syllables with generators in
 
 from __future__ import annotations
 
+from math import comb
+from operator import lshift
+
 from .chebyshev import cheb_at
-from .polynomials import PolyRing
+from .polynomials import Polynomial, PolyRing
 
 RING = PolyRing(("x", "y", "z"))
 X = RING.var("x")
@@ -350,43 +355,100 @@ _MAT = {
 }
 
 
-def _mat_mul(m, n):
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
+def _letter_table(letters):
+    """_MAT as term lists under packed (x, y, c) keys, and the field width.
+
+    No entry of a product of `letters` letters has a degree above the
+    table's largest exponent times `letters`, so fields that wide never
+    carry.  Entries are [(key, coeff)] lists; a zero entry is empty.
+    """
+    polys = {key: [[_ORACLE_RING.zero() + e for e in row] for row in m] for key, m in _MAT.items()}
+    top = max(max(e) for m in polys.values() for row in m for p in row for e in p.terms)
+    w = (top * letters).bit_length()
+    shifts = (2 * w, w, 0)
+    table = {
+        key: [
+            [[(sum(map(lshift, e, shifts)), c) for e, c in p.terms.items()] for p in row]
+            for row in m
+        ]
+        for key, m in polys.items()
+    }
+    return table, w
+
+
+def _column(m0, m1, e0, e1):
+    """m0 * e0 + m1 * e1: one shifted pass per term of each entry."""
+    out = {}
+    for src, entry in ((m0, e0), (m1, e1)):
+        for ke, ce in entry:
+            if not out:  # a shift into an empty map never merges two terms
+                out = {k + ke: c * ce for k, c in src.items()}
+                continue
+            get = out.get
+            for k, c in src.items():
+                k += ke
+                s = get(k, 0) + c * ce
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
 
 
 def trace_poly_oracle(word):
     """P_word recomputed from explicit matrices; independent of trace_poly.
 
+    The rows of the running product are term maps keyed by (x, y, c)
+    exponents packed into one int, each field wide enough for the
+    largest degree the word's letters can reach, so no field carries.
+    Each letter right-multiplies the rows as column operations, one
+    shifted pass per term of a nonzero entry of its matrix.
+
     With n b-letters the c-scaled product has trace num = c^n tr, and tr
     is symmetric in c <-> 1/c.  It is rewritten in z = c + 1/c by peeling
-    the top power: with k = deg_c(num) - n, the coefficient of c^(k+n)
-    times c^n z^k = (c^2 + 1)^k c^(n-k) leaves num.  A residue with k
-    outside [0, n] is not symmetric, which would signal an arithmetic bug,
-    and raises ArithmeticError.
+    the top power: with k = deg_c(num) - n, the coefficient lead of
+    c^(k+n) goes out with z^k, and lead c^n z^k = lead (c^2 + 1)^k c^(n-k)
+    leaves num as binomial(k, j) lead at c-degree n - k + 2j.  A residue
+    with k outside [0, n] is not symmetric, which would signal an
+    arithmetic bug, and raises ArithmeticError.
     """
-    one = _ORACLE_RING.one()
-    m = ((one, 0), (0, one))
-    n = 0
-    for gen, exp in free_reduce(word):
-        step = _MAT[(gen, 1 if exp > 0 else -1)]
+    word = free_reduce(word)
+    n = sum(abs(e) for g, e in word if g == "b")
+    table, w = _letter_table(sum(abs(e) for _, e in word))
+    rows = [({0: 1}, {}), ({}, {0: 1})]
+    for gen, exp in word:
+        (l00, l01), (l10, l11) = table[(gen, 1 if exp > 0 else -1)]
         for _ in range(abs(exp)):
-            m = _mat_mul(m, step)
-        if gen == "b":
-            n += abs(exp)
-    num = m[0][0] + m[1][1]
+            rows = [(_column(m0, m1, l00, l10), _column(m0, m1, l01, l11)) for m0, m1 in rows]
+    num = _column(rows[0][0], rows[1][1], [(0, 1)], [(0, 1)])  # the trace
 
-    out = RING.zero()
-    while not num.is_zero():
-        k = num.degree_in("c") - n
+    mask = (1 << w) - 1
+    by_c = {}
+    for k, c in num.items():
+        by_c.setdefault(k & mask, {})[(k >> 2 * w, (k >> w) & mask)] = c
+    terms = {}
+    while by_c:
+        d = max(by_c)
+        lead = by_c.pop(d)
+        k = d - n
         if not 0 <= k <= n:
-            raise ArithmeticError("asymmetric residue in c: %s / c^%d" % (num, n))
-        lead = num.coeff_in("c", k + n)
-        out = out + lead.map_values({"x": X, "y": Y}, RING) * RING.monomial("z", k)
-        num = num - lead * (_OC**2 + 1) ** k * _ORACLE_RING.monomial("c", n - k)
-    return out
+            raise ArithmeticError("asymmetric residue in c: degree %d over c^%d" % (d, n))
+        for (ex, ey), c in lead.items():
+            terms[(ex, ey, k)] = c
+        for j in range(k):
+            b = comb(k, j)
+            dj = n - k + 2 * j
+            row = by_c.setdefault(dj, {})
+            get = row.get
+            for key, c in lead.items():
+                s = get(key, 0) - b * c
+                if s:
+                    row[key] = s
+                else:
+                    del row[key]
+            if not row:
+                del by_c[dj]
+    return Polynomial(RING, terms)
 
 
 # -- identity suite -------------------------------------------------------------

@@ -177,6 +177,21 @@ def test_cache_entry_under_wrong_key_exit_1(tmp_path, capsys):
     assert code == 1 and "malformed" in err
 
 
+def test_cache_entry_in_other_variables_exit_1(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    code, _, _ = run(capsys, "charpoly", "twobridge:4,3", "--cache-dir", cache)
+    assert code == 0
+    entry = os.path.join(cache, "twobridge_4_3.json")
+    with open(entry) as fh:
+        data = json.load(fh)
+    data["full"]["vars"] = ["q", "r", "s"]
+    with open(entry, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, "charpoly", "twobridge:4,3", "--cache-dir", cache)
+    assert code == 1
+    assert out == "" and "malformed" in err and "'q', 'r', 's'" in err
+
+
 def test_cache_write_leaves_no_partial_entry(tmp_path, monkeypatch):
     cache = str(tmp_path / "cache")
     cli.cached_char_poly(4, 3, cache)

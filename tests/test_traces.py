@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from charvar import traces
+from charvar import cli, traces
 from charvar.links import riley_word
 from charvar.numeric import random_rep, trace_agreement, traces_of, word_matrix
 from charvar.traces import (
@@ -137,6 +139,73 @@ def test_oracle_matches_engine_on_relator_words():
             word_concat(w, (("b", -1),)),
         ):
             assert trace_poly(u) == trace_poly_oracle(u), (p, m, u)
+
+
+def _relator_words(p, m):
+    w = riley_word(p, m)
+    return (
+        word_concat((("a", 1),), w, (("a", -1), ("b", -1))),
+        word_concat(w, (("b", -1),)),
+    )
+
+
+def test_oracle_matches_engine_across_field_widths():
+    # the packed (x, y, c) fields are sized from the letter count: these
+    # words need 9- and 10-bit fields, one generator or both
+    for text in ("a^255", "b^256", "B^129", "(ab)^100", "a^70 b^-65"):
+        w = parse_word(text)
+        assert trace_poly_oracle(w) == trace_poly(w), text
+
+
+def test_oracle_matches_engine_on_long_relator_words():
+    # both relator words of b(2p, 3) for 22 < p <= cli.MAX_TWOBRIDGE_P and
+    # of W_k for 7 <= k <= 12, past the range of the test above
+    specs = [(p, 3) for p in range(23, cli.MAX_TWOBRIDGE_P + 1) if p % 3]
+    specs += [(2 * k + 2, 2 * k + 1) for k in range(7, 13)]
+    for p, m in specs:
+        for u in _relator_words(p, m):
+            assert trace_poly(u) == trace_poly_oracle(u), (p, m, u)
+
+
+def _int_mul(m, n):
+    return (
+        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
+        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
+    )
+
+
+def _int_sl2(rng):
+    # a product of elementary matrices [[1, k], [0, 1]] and [[1, 0], [k, 1]]
+    m = ((1, 0), (0, 1))
+    for i in range(4):
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        m = _int_mul(m, ((1, k), (0, 1)) if i % 2 else ((1, 0), (k, 1)))
+    return m
+
+
+def test_oracle_exact_at_integer_matrices():
+    # tr of the word's exact SL2(Z) product = the oracle's polynomial at the
+    # integer traces, with neither the engine nor c-scaling involved; the
+    # words are the relator words of links the engine is slow on
+    rng = random.Random(38)
+    pairs = [(_int_sl2(rng), _int_sl2(rng)) for _ in range(3)]
+    for p, m in ((38, 21), (44, 19), (50, 27)):
+        for u in _relator_words(p, m):
+            poly = trace_poly_oracle(u)
+            for a, b in pairs:
+                gens = {
+                    ("a", 1): a,
+                    ("a", -1): ((a[1][1], -a[0][1]), (-a[1][0], a[0][0])),
+                    ("b", 1): b,
+                    ("b", -1): ((b[1][1], -b[0][1]), (-b[1][0], b[0][0])),
+                }
+                prod = ((1, 0), (0, 1))
+                for gen, exp in u:
+                    for _ in range(abs(exp)):
+                        prod = _int_mul(prod, gens[(gen, 1 if exp > 0 else -1)])
+                ab = _int_mul(a, b)
+                point = {"x": a[0][0] + a[1][1], "y": b[0][0] + b[1][1], "z": ab[0][0] + ab[1][1]}
+                assert poly.evaluate(point) == prod[0][0] + prod[1][1], (p, m, a, b)
 
 
 def test_oracle_raises_on_asymmetric_residue(monkeypatch):
