@@ -1,18 +1,22 @@
 """Command-line front end: trace, charpoly, components, verify.
 
 Exit codes: 0 when every requested check passes, 1 on any verification
-mismatch (including a corrupt cache entry), 2 on invalid input.
+mismatch (including a corrupt cache entry or a count other than the
+paper's), 2 on invalid input (including an unusable cache directory and
+a word nested too deeply).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import islice
 
 from . import links, numeric, varieties
 from .polynomials import from_json
@@ -27,8 +31,8 @@ ENGINE_VERSION = "charvar-0.1.0"
 # irregular words of the same weight, or far less, can take much longer.
 MAX_TRACE_WEIGHT = 200
 
-# `verify` refuses ranges with more points than this, counted before any
-# point is built.  The default ranges have 81, 13 and 11 points.
+# `verify` refuses ranges with more points than this, listing at most one
+# more and building none.  The default ranges have 81, 13 and 11 points.
 MAX_VERIFY_POINTS = 10000
 
 # `charpoly`, `components` and `verify` refuse a link above its family's
@@ -53,7 +57,7 @@ def _cache_path(cache_dir, p, m):
     return os.path.join(cache_dir, "twobridge_%d_%d.json" % (p, m))
 
 
-def cached_char_poly(p, m, cache_dir=None, no_cache=False):
+def cached_char_poly(p, m, cache_dir=None):
     """Word-derived defining polynomial, optionally through an on-disk cache.
 
     An entry from another engine version is recomputed; one that cannot
@@ -63,7 +67,7 @@ def cached_char_poly(p, m, cache_dir=None, no_cache=False):
     closed forms.  Entries are written to a temporary file and renamed
     into place, never left half-written.
     """
-    if no_cache or cache_dir is None:
+    if cache_dir is None:
         return links.char_poly_twobridge(p, m).full
     path = _cache_path(cache_dir, p, m)
     if os.path.exists(path):
@@ -135,56 +139,43 @@ def _check_limits(link):
 # -- verify drivers ---------------------------------------------------------------
 
 
-def _pretzel_point(link):
-    m, n = link.m, link.n
-    rep = varieties.count_components_pretzel(m, n)
-    expected = varieties.pretzel_table_count(m, n)
-    row = rep.to_json()
-    row["expected_count"] = expected
-    row["pass"] = rep.ok() and rep.component_count == expected
-    return row
+def _counted(link):
+    """(component report, the paper's count) for a link of a counted family."""
+    if isinstance(link, links.Pretzel):
+        return (varieties.count_components_pretzel(link.m, link.n),
+                varieties.pretzel_table_count(link.m, link.n))
+    if isinstance(link, links.TwistedWhitehead):
+        k = link.k
+    else:
+        tb = links.as_two_bridge(link)
+        if tb.m == 3:
+            return varieties.verify_twobridge3(tb.p), 2
+        if tb.p % 2 or tb.m != tb.p - 1:
+            raise ValueError("component counting covers b(2p,3), twisted Whitehead"
+                             " and pretzel links")
+        k = (tb.p - 2) // 2
+    # n + 1 components for W_(2n-1), n + 2 for W_(2n)
+    return varieties.verify_twisted_whitehead(k), k // 2 + 2
 
 
-# a two-bridge family maps its link to (report, (p, m), expected count,
-# closed-form product); the product is only built for a cache check
-
-
-def _twobridge3_family(link):
-    p = link.p
-
-    def closed_form():
-        return links.REDUCIBLE_SURFACE * links.twobridge3_nonabelian(p)
-
-    return varieties.verify_twobridge3(p), (p, 3), 2, closed_form
-
-
-def _whitehead_family(link):
-    k = link.k
-
-    def closed_form():
-        r, c, q = links.twisted_whitehead_factors(k)
-        return r * c * q
-
-    n = (k + 1) // 2 if k % 2 else k // 2
-    expected = n + 1 if k % 2 else n + 2
-    return varieties.verify_twisted_whitehead(k), (2 * k + 2, 2 * k + 1), expected, closed_form
-
-
-def _two_bridge_point(family, seed, cache_dir, no_cache, link):
-    rep, (p, m), expected, closed_form = family(link)
+def _verify_point(seed, cache_dir, link):
+    rep, expected = _counted(link)
     row = rep.to_json()
     row["expected_count"] = expected
     ok = rep.ok() and rep.component_count == expected
-    if cache_dir and not no_cache:
-        cached = cached_char_poly(p, m, cache_dir)
-        prod = closed_form()
-        if cached != prod and cached != -prod:
-            row["notes"] = row.get("notes", []) + ["cached polynomial mismatch"]
-            ok = False
-    if seed is not None and p <= 9:
-        resid = numeric.relator_residual(links.TwoBridge(p, m), numeric.random_rep(seed))
-        row["numeric_residual"] = resid
-        ok = ok and resid < 1e-6
+    if not isinstance(link, links.Pretzel):
+        tb = links.as_two_bridge(link)
+        if cache_dir:
+            # the factors multiply to the closed form, not to the word's polynomial
+            cached = cached_char_poly(tb.p, tb.m, cache_dir)
+            prod = math.prod(f.poly for f in rep.factors)
+            if cached != prod and cached != -prod:
+                row["notes"].append("cached polynomial mismatch")
+                ok = False
+        if seed is not None and tb.p <= 9:
+            resid = numeric.relator_residual(tb, numeric.random_rep(seed))
+            row["numeric_residual"] = resid
+            ok = ok and resid < 1e-6
     row["pass"] = bool(ok)
     return row
 
@@ -240,27 +231,13 @@ def cmd_charpoly(args):
         poly = links.pretzel_char_poly(spec.m, spec.n).full
     else:
         tb = links.as_two_bridge(spec)
-        poly = cached_char_poly(tb.p, tb.m, args.cache_dir, args.no_cache)
+        poly = cached_char_poly(tb.p, tb.m, None if args.no_cache else args.cache_dir)
     _emit_poly(poly, args.format)
     return 0
 
 
 def cmd_components(args):
-    spec = _check_limits(links.parse_link(args.link))
-    if isinstance(spec, links.Pretzel):
-        rep = varieties.count_components_pretzel(spec.m, spec.n)
-    elif isinstance(spec, links.TwistedWhitehead):
-        rep = varieties.verify_twisted_whitehead(spec.k)
-    else:
-        spec.validate()
-        if spec.m == 3:
-            rep = varieties.verify_twobridge3(spec.p)
-        elif spec.p % 2 == 0 and spec.m == spec.p - 1:
-            rep = varieties.verify_twisted_whitehead((spec.p - 2) // 2)
-        else:
-            raise ValueError(
-                "component counting covers b(2p,3), twisted Whitehead and pretzel links"
-            )
+    rep, expected = _counted(_check_limits(links.parse_link(args.link)))
     if args.format == "json":
         print(json.dumps(rep.to_json(), indent=2))
     else:
@@ -276,6 +253,10 @@ def cmd_components(args):
             "  product_check=%s sign=%+d certificates_ok=%s"
             % (rep.product_check, rep.sign, rep.certificates_ok())
         )
+    if rep.component_count != expected:
+        print("error: %s: %d components, the paper's count is %d"
+              % (rep.link, rep.component_count, expected), file=sys.stderr)
+        return 1
     return 0 if rep.ok() else 1
 
 
@@ -285,33 +266,27 @@ def cmd_verify(args):
     if args.family == "1":
         lo_m, hi_m = _parse_range(args.m)
         lo_n, hi_n = _parse_range(args.n)
-        count = (hi_m - lo_m + 1) * (hi_n - lo_n + 1)
         points = (links.Pretzel(m, n) for m in range(lo_m, hi_m + 1)
                   for n in range(lo_n, hi_n + 1))
-        point_fn = _pretzel_point
+    elif args.family == "2":
+        lo, hi = _parse_range(args.p)
+        # b(2p, 3) needs p > 3 and 3 not dividing p
+        points = (links.TwoBridge(p, 3) for p in range(max(lo, 4), hi + 1) if p % 3)
     else:
-        if args.family == "2":
-            lo, hi = _parse_range(args.p)
-            family = _twobridge3_family
-            # p > 3 with 3 not dividing p, counted as t - t // 3 of 1..t
-            start = max(lo, 4) - 1
-            count = max(0, (hi - hi // 3) - (start - start // 3))
-            points = (links.TwoBridge(p, 3) for p in range(lo, hi + 1) if p > 3 and p % 3 != 0)
-        else:
-            lo, hi = _parse_range(args.k)
-            if lo < 0:
-                raise ValueError("twist counts start at 0")
-            family = _whitehead_family
-            count = hi - lo + 1
-            points = (links.TwistedWhitehead(k) for k in range(lo, hi + 1))
-        point_fn = partial(_two_bridge_point, family, args.seed, args.cache_dir, args.no_cache)
-    if not count:
+        lo, hi = _parse_range(args.k)
+        if lo < 0:
+            raise ValueError("twist counts start at 0")
+        points = (links.TwistedWhitehead(k) for k in range(lo, hi + 1))
+    # one past the limit is enough to refuse a range, however large
+    points = list(islice(points, MAX_VERIFY_POINTS + 1))
+    if not points:
         # a run that checks nothing must not report success
         raise ValueError("the given ranges contain no point of family %s" % args.family)
-    if count > MAX_VERIFY_POINTS:
-        raise ValueError("the given ranges contain %d points, above the limit of %d"
-                         % (count, MAX_VERIFY_POINTS))
-    rows = _run_points(point_fn, list(points), args.jobs)
+    if len(points) > MAX_VERIFY_POINTS:
+        raise ValueError("the given ranges contain more points than the limit of %d"
+                         % MAX_VERIFY_POINTS)
+    cache_dir = None if args.no_cache else args.cache_dir
+    rows = _run_points(partial(_verify_point, args.seed, cache_dir), points, args.jobs)
     _print_rows(rows, args.format)
     return 0 if all(row["pass"] for row in rows) else 1
 
@@ -369,7 +344,7 @@ def main(argv=None):
     except CacheError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

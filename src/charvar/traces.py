@@ -96,9 +96,13 @@ def parse_word(text, max_weight=None):
     it raises ValueError, and so does any parenthesized power whose own
     weight is.  A block is checked before it is repeated: for a nonempty
     reduced block w, both k and the weight of w are at most the weight of
-    w^k, so a large k is refused without building the k copies.
+    w^k, so a large k is refused without building the k copies.  Blocks
+    nested deeper than the interpreter's recursion limit raise ValueError.
     """
-    syllables, _ = _parse_chunk(text, 0, toplevel=True, max_weight=max_weight)
+    try:
+        syllables, _ = _parse_chunk(text, 0, toplevel=True, max_weight=max_weight)
+    except RecursionError:
+        raise ValueError("parentheses nested too deeply") from None
     word = free_reduce(syllables)
     _check_weight(word, max_weight, "word")
     return word

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -397,3 +398,42 @@ def test_link_limits_accept_the_limit(capsys, monkeypatch):
         calls.clear()
     # the limits are the CLI's: the link catalog stays total
     assert str(cli.links.parse_link("pretzel:50,-50")) == "pretzel:50,-50"
+
+
+def test_trace_deep_nesting_exit_2(capsys):
+    code, out, err = run(capsys, "trace", "(" * 1200 + "a" + ")" * 1200)
+    assert code == 2 and out == "" and "nested too deeply" in err
+
+
+def test_unusable_cache_dir_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache = str(blocker / "cache")
+    for argv in (("charpoly", "twobridge:4,3"), ("verify", "2", "--p", "4..4")):
+        code, out, err = run(capsys, *argv, "--cache-dir", cache)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+
+
+def test_components_checks_the_paper_count(capsys, monkeypatch):
+    true_count = cli.varieties.pretzel_table_count
+    monkeypatch.setattr(cli.varieties, "pretzel_table_count",
+                        lambda m, n: true_count(m, n) + 1)
+    code, out, err = run(capsys, "components", "pretzel:1,2")
+    assert code == 1
+    assert "3 components" in out and "paper's count is 4" in err
+
+
+def test_verify_huge_negative_twobridge_bounds(capsys, monkeypatch):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "2", "--p=-1000000000000..3")
+    assert code == 2 and out == "" and "no point" in err
+    assert time.perf_counter() - t0 < 1.0
+    seen = []
+
+    def record_only(fn, points, jobs):
+        seen.extend(str(link) for link in points)
+        return []
+
+    monkeypatch.setattr(cli, "_run_points", record_only)
+    code, _, _ = run(capsys, "verify", "2", "--p=-1000000000000..5")
+    assert code == 0 and seen == ["twobridge:4,3", "twobridge:5,3"]
