@@ -158,6 +158,13 @@ def _counted(link):
     return varieties.verify_twisted_whitehead(k), k // 2 + 2
 
 
+def _cache_dir(args):
+    """The cache directory a command uses, or None; an empty --cache-dir is invalid."""
+    if args.cache_dir == "":
+        raise ValueError("--cache-dir must not be empty")
+    return None if args.no_cache else args.cache_dir
+
+
 def _verify_point(seed, cache_dir, link):
     rep, expected = _counted(link)
     row = rep.to_json()
@@ -165,7 +172,7 @@ def _verify_point(seed, cache_dir, link):
     ok = rep.ok() and rep.component_count == expected
     if not isinstance(link, links.Pretzel):
         tb = links.as_two_bridge(link)
-        if cache_dir:
+        if cache_dir is not None:
             # the factors multiply to the closed form, not to the word's polynomial
             cached = cached_char_poly(tb.p, tb.m, cache_dir)
             prod = math.prod(f.poly for f in rep.factors)
@@ -226,12 +233,13 @@ def cmd_trace(args):
 
 
 def cmd_charpoly(args):
+    cache_dir = _cache_dir(args)
     spec = _check_limits(links.parse_link(args.link))
     if isinstance(spec, links.Pretzel):
         poly = links.pretzel_char_poly(spec.m, spec.n).full
     else:
         tb = links.as_two_bridge(spec)
-        poly = cached_char_poly(tb.p, tb.m, None if args.no_cache else args.cache_dir)
+        poly = cached_char_poly(tb.p, tb.m, cache_dir)
     _emit_poly(poly, args.format)
     return 0
 
@@ -263,6 +271,7 @@ def cmd_components(args):
 def cmd_verify(args):
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
+    cache_dir = _cache_dir(args)
     if args.family == "1":
         lo_m, hi_m = _parse_range(args.m)
         lo_n, hi_n = _parse_range(args.n)
@@ -285,7 +294,6 @@ def cmd_verify(args):
     if len(points) > MAX_VERIFY_POINTS:
         raise ValueError("the given ranges contain more points than the limit of %d"
                          % MAX_VERIFY_POINTS)
-    cache_dir = None if args.no_cache else args.cache_dir
     rows = _run_points(partial(_verify_point, args.seed, cache_dir), points, args.jobs)
     _print_rows(rows, args.format)
     return 0 if all(row["pass"] for row in rows) else 1

@@ -98,6 +98,35 @@ def _shift(mono, b):
     return {tuple(map(add, e, eb)): c * cb for eb, cb in b.items()}
 
 
+def _shifts(width, nvars):
+    """Bit offsets of the fields of a packed exponent key, most significant first."""
+    return range(width * (nvars - 1), -1, -width)
+
+
+def _unpack(packed, width, shifts):
+    """The tuple-keyed term map of a packed one."""
+    mask = (1 << width) - 1
+    return {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()}
+
+
+def _packed_product(pa, pb):
+    """Packed term map of the product of two packed (key, coefficient) sequences.
+
+    pa is the outer loop; a cancelled key is deleted.
+    """
+    acc = {}
+    get = acc.get
+    for ka, ca in pa:
+        for kb, cb in pb:
+            k = ka + kb
+            s = get(k, 0) + ca * cb
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
+
+
 def _mul_packed(a, b):
     """Terms of a*b, accumulated under exponent vectors packed into one int.
 
@@ -110,21 +139,54 @@ def _mul_packed(a, b):
     """
     top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
     w = top.bit_length()
-    shifts = range(w * (len(next(iter(a))) - 1), -1, -w)
+    shifts = _shifts(w, len(next(iter(a))))
     pa = [(sum(map(lshift, e, shifts)), c) for e, c in a.items()]
     pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
-    acc = {}
+    return _unpack(_packed_product(pa, pb), w, shifts)
+
+
+def _add_into(acc, terms):
+    """Add a term map into acc in place, dropping cancelled keys."""
     get = acc.get
-    for ka, ca in pa:
-        for kb, cb in pb:
-            k = ka + kb
-            s = get(k, 0) + ca * cb
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-    mask = (1 << w) - 1
-    return {tuple([(k >> s) & mask for s in shifts]): c for k, c in acc.items()}
+    for e, c in terms.items():
+        s = get(e, 0) + c
+        if s:
+            acc[e] = s
+        else:
+            acc.pop(e, None)
+
+
+def _variable_index(terms):
+    """Index of the variable a term map is (one term, coefficient 1, degree 1), or None."""
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        if c == 1 and sum(e) == 1:
+            return e.index(1)
+    return None
+
+
+def _horner(groups, values):
+    """Packed terms of the sum of part * prod(values[i] ** key[i]) over groups.
+
+    groups maps exponent keys to packed term maps, and values are packed
+    (key, coefficient) lists.  Nested Horner: in the first value, with
+    each coefficient the same sum over the remaining values, so the
+    running sum is multiplied once per degree step and never copied.
+    """
+    if not groups:
+        return {}
+    if not values:
+        return groups[()]
+    by_deg = {}
+    for key, part in groups.items():
+        by_deg.setdefault(key[0], {})[key[1:]] = part
+    acc = {}
+    for d in range(max(by_deg), -1, -1):
+        if acc:
+            acc = _packed_product(values[0], acc.items())
+        if d in by_deg:
+            _add_into(acc, _horner(by_deg[d], values[1:]))
+    return acc
 
 
 class Polynomial:
@@ -169,12 +231,7 @@ class Polynomial:
         if q is None:
             return NotImplemented
         terms = dict(self.terms)
-        for exp, c in q.terms.items():
-            s = terms.get(exp, 0) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
+        _add_into(terms, q.terms)
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -301,31 +358,74 @@ class Polynomial:
     # -- substitution and evaluation ---------------------------------------
 
     def substitute(self, name, value):
-        """Replace every occurrence of one variable by a polynomial (same ring)."""
-        value = self._coerce(value)
-        d = self.degree_in(name)
-        if d is NEG_INF or d == 0:
-            return self
-        parts = {}
-        i = self.ring.index[name]
-        for exp, c in self.terms.items():
-            e = list(exp)
-            k = e[i]
-            e[i] = 0
-            part = parts.setdefault(k, {})
-            part[tuple(e)] = part.get(tuple(e), 0) + c
-        acc = Polynomial(self.ring, parts.get(d, {}))
-        for k in range(d - 1, -1, -1):
-            acc = acc * value + Polynomial(self.ring, parts.get(k, {}))
-        return acc
+        """Replace every occurrence of one variable by an int or a polynomial (same ring)."""
+        ring = self.ring
+        if name not in ring.index:
+            raise KeyError("unknown variable %r" % name)
+        mapping = {n: ring.var(n) for n in ring.names}
+        mapping[name] = value
+        return self.map_values(mapping, ring)
 
     def map_values(self, mapping, ring):
         """Simultaneous substitution into a target ring.
 
-        mapping sends variable names to Polynomials of `ring`; every
-        variable that occurs in self must be mapped.
+        mapping sends variable names to ints or Polynomials of `ring`;
+        every variable that occurs in self must be mapped (KeyError
+        otherwise), and other keys are ignored.  A variable sent to a
+        variable of `ring` is renamed by moving its exponent (two sent to
+        one target add theirs), an int or constant value is folded into
+        the coefficient, and the variables left are grouped out and
+        expanded by nested Horner.  All of it runs on exponents packed as
+        in _mul_packed, with fields wide enough for the result.
         """
-        return ring.zero() + self.evaluate(mapping)
+        terms = self.terms
+        moves = []  # (source index, target index)
+        folds = []  # (source index, int value)
+        expand = []  # (source index, term map of the value)
+        bound = 0  # no exponent of the result is above this
+        for i, (name, top) in enumerate(zip(self.ring.names, map(max, zip(*terms)))):
+            if not top:
+                continue
+            if name not in mapping:
+                raise KeyError("no value for variable %r" % name)
+            v = mapping[name]
+            if isinstance(v, int):
+                folds.append((i, v))
+            elif not isinstance(v, Polynomial):
+                raise TypeError("value for %r is neither an int nor a Polynomial" % name)
+            elif v.ring != ring:
+                raise ValueError("value for %r is not in the target ring" % name)
+            elif v.is_constant():
+                folds.append((i, v.constant_value()))
+            else:
+                j = _variable_index(v.terms)
+                if j is None:
+                    expand.append((i, v.terms))
+                    bound += top * max(map(max, v.terms))
+                else:
+                    moves.append((i, j))
+                    bound += top
+        w = bound.bit_length() or 1
+        shifts = _shifts(w, len(ring.names))
+        moves = [(i, shifts[j]) for i, j in moves]
+        values = [[(sum(map(lshift, e, shifts)), c) for e, c in v.items()] for _, v in expand]
+        groups = {}
+        for exp, c in terms.items():
+            for i, v in folds:
+                if exp[i]:
+                    c *= v ** exp[i]
+            if not c:
+                continue
+            k = 0
+            for i, shift in moves:
+                k += exp[i] << shift
+            part = groups.setdefault(tuple([exp[i] for i, _ in expand]), {})
+            s = part.get(k, 0) + c
+            if s:
+                part[k] = s
+            else:
+                del part[k]
+        return Polynomial(ring, _unpack(_horner(groups, values), w, shifts))
 
     def cast(self, ring):
         """Inject into another ring containing all occurring variables."""

@@ -22,7 +22,7 @@ in the diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from . import links
 from .chebyshev import cheb, cheb_at, cheb_diff, distinct_root_count
@@ -230,11 +230,17 @@ def _shift_family_note(inner):
     return None
 
 
+@cache
+def _surface_discriminant():
+    """The x-discriminant of gamma - 2 and whether it is a non-square (run once)."""
+    disc = (Y * Z) ** 2 - 4 * (Y**2 + Z**2 - 4)
+    return disc, not _slice_is_square_up_to_constant(disc)
+
+
 def _surface_factor():
     # gamma - 2 is the delta = -4 member of the quadric family; certify the
     # instance as a monic quadratic in x whose discriminant is not a square
-    disc = (Y * Z) ** 2 - 4 * (Y**2 + Z**2 - 4)
-    ok = not _slice_is_square_up_to_constant(disc)
+    disc, ok = _surface_discriminant()
     return FactorCertificate(
         kind="reducible_surface",
         poly=REDUCIBLE_SURFACE,
@@ -260,7 +266,7 @@ def _cheb_family_factor(univ, inner):
             "family polynomial %s is not squarefree (%d distinct roots, degree %d)"
             % (univ, count, deg)
         )
-    composed = _compose_univariate(univ, inner)
+    composed = univ.map_values({"t": inner}, inner.ring)
     return FactorCertificate(
         kind="cheb_linear_family",
         poly=composed,
@@ -274,16 +280,6 @@ def _cheb_family_factor(univ, inner):
         univariate=univ,
         inner=inner,
     )
-
-
-def _compose_univariate(univ, inner):
-    d = univ.degree_in("t")
-    if univ.is_zero():
-        return inner.ring.zero()
-    acc = inner.ring.const(univ.coeff_in("t", d).constant_value())
-    for e in range(d - 1, -1, -1):
-        acc = acc * inner + univ.coeff_in("t", e).constant_value()
-    return acc
 
 
 def _explicit_factor(poly, cert, result):

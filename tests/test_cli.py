@@ -414,6 +414,17 @@ def test_unusable_cache_dir_exit_2(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error: "), argv
 
 
+def test_empty_cache_dir_exit_2(tmp_path, capsys, monkeypatch):
+    # an empty --cache-dir is refused the same way by both commands,
+    # before anything is read, written or skipped
+    monkeypatch.chdir(tmp_path)
+    for argv in (("charpoly", "twobridge:4,3"), ("verify", "2", "--p", "4..4")):
+        code, out, err = run(capsys, *argv, "--cache-dir=")
+        assert code == 2 and out == "", argv
+        assert err == "error: --cache-dir must not be empty\n", argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_components_checks_the_paper_count(capsys, monkeypatch):
     true_count = cli.varieties.pretzel_table_count
     monkeypatch.setattr(cli.varieties, "pretzel_table_count",

@@ -287,3 +287,145 @@ def test_gcd_with_a_monomial_matches_sympy(rng):
         theirs = sympy.gcd(to_sympy(mono), to_sympy(q))
         assert sympy.expand(to_sympy(ours) - theirs) == 0
         assert poly_gcd(q, mono) == ours
+
+
+# -- the substitution kernel against frozen references ------------------------
+
+
+def reference_map_values(p, mapping, ring):
+    """map_values as a term-by-term sum of products of powers, kept as the reference."""
+    total = 0
+    for exp, c in p.terms.items():
+        term = c
+        for name, e in zip(p.ring.names, exp):
+            if e:
+                term = term * mapping[name] ** e
+        total = total + term
+    return ring.zero() + total
+
+
+def reference_substitute(p, name, value):
+    """substitute as univariate Horner over Polynomial operations, kept as the reference."""
+    value = p._coerce(value)
+    d = p.degree_in(name)
+    if d is NEG_INF or d == 0:
+        return p
+    parts = {}
+    i = p.ring.index[name]
+    for exp, c in p.terms.items():
+        e = list(exp)
+        k = e[i]
+        e[i] = 0
+        part = parts.setdefault(k, {})
+        part[tuple(e)] = part.get(tuple(e), 0) + c
+    acc = p.ring.from_terms(parts.get(d, {}))
+    for k in range(d - 1, -1, -1):
+        acc = acc * value + p.ring.from_terms(parts.get(k, {}))
+    return acc
+
+
+def reference_compose(univ, inner):
+    """A univariate polynomial in t composed with inner, by Horner on its coefficients."""
+    d = univ.degree_in("t")
+    if univ.is_zero():
+        return inner.ring.zero()
+    acc = inner.ring.const(univ.coeff_in("t", d).constant_value())
+    for e in range(d - 1, -1, -1):
+        acc = acc * inner + univ.coeff_in("t", e).constant_value()
+    return acc
+
+
+def assert_same(got, want):
+    assert got.ring == want.ring and got.terms == want.terms
+    assert all(got.terms.values())
+
+
+def test_map_values_named_cases(rng):
+    r2 = PolyRing(("x", "y"))
+    x2, y2 = r2.var("x"), r2.var("y")
+    r4 = PolyRing(("w", "z", "y", "x"))
+    r_x1 = PolyRing(("x1", "y", "z"))
+    cases = [
+        (r2, {"x": y2, "y": x2}, r2),  # a swap
+        (R, {"x": Z, "y": Z, "z": X}, R),  # two sources on one target
+        (R, {"x": 3, "y": R.const(-2), "z": Z}, R),  # int and constant values
+        (R, {"x": 0, "y": Y, "z": R.zero()}, R),  # zero values
+        (R, {"x": X + Y, "y": X - Y, "z": Z}, R),  # two expanded values at once
+        (R, {"x": X + Y, "y": X - Y, "z": R.const(2)}, R),
+        (r_x1, {"x1": X * Z - Y, "y": Y, "z": Z}, R),  # other size and order
+        (r4, {"w": X * Z - Y, "z": Z, "y": Y, "x": X}, R),
+        (R, {"x": r2.var("y"), "y": -x2, "z": 5}, r2),  # onto a smaller ring
+        (T_RING, {"t": X**2 + Y**2 + Z**2 - X * Y * Z - 2}, R),
+    ]
+    for source, mapping, target in cases:
+        for _ in range(40):
+            p = random_poly(rng, source, max_terms=8, max_deg=5)
+            unused = dict(mapping, unused=1.5)  # keys for no variable are ignored
+            assert_same(p.map_values(unused, target), reference_map_values(p, mapping, target))
+        assert_same(source.zero().map_values(mapping, target), target.zero())
+
+
+def test_map_values_cancellation(rng):
+    # renamed terms cancel (x - y with both sent to z), and so do expanded values
+    assert_same((X - Y).map_values({"x": Z, "y": Z}, R), R.zero())
+    for _ in range(40):
+        p = random_poly(rng, R, max_terms=6, max_deg=4) * (X + Y)
+        mapping = {"x": Y - Z, "y": Z - Y, "z": Z}
+        assert_same(p.map_values(mapping, R), R.zero())
+        q = p + random_poly(rng, R)
+        assert_same(q.map_values(mapping, R), reference_map_values(q, mapping, R))
+
+
+def test_map_values_random_mappings(rng):
+    for names in (("t",), ("b", "a"), ("z", "x", "y"), ("a", "b", "c", "d")):
+        source = PolyRing(names)
+        for _ in range(60):
+            mapping = {}
+            for name in source.names:
+                kind = rng.randrange(5)
+                if kind == 0:
+                    mapping[name] = R.var(rng.choice(R.names))
+                elif kind == 1:
+                    mapping[name] = rng.randint(-3, 3)
+                elif kind == 2:
+                    mapping[name] = R.const(rng.randint(-3, 3))
+                else:
+                    mapping[name] = random_poly(rng, R, max_terms=3, max_deg=2, max_coeff=4)
+            p = random_poly(rng, source, max_terms=6, max_deg=4)
+            assert_same(p.map_values(mapping, R), reference_map_values(p, mapping, R))
+
+
+def test_map_values_needs_every_occurring_variable():
+    with pytest.raises(KeyError):
+        (X + Y).map_values({"x": X}, R)
+    # a variable that does not occur needs no value
+    assert_same((X + 1).map_values({"x": Y}, R), Y + 1)
+
+
+def test_substitution_paths_agree_with_their_old_bodies(rng):
+    from charvar.chebyshev import cheb
+
+    gamma = X**2 + Y**2 + Z**2 - X * Y * Z - 2
+    big = PolyRing(("x", "y", "z", "u"))
+    for _ in range(60):
+        p = random_poly(rng, R, max_terms=8, max_deg=5)
+        name = rng.choice(R.names)
+        for value in (random_poly(rng, R), X, rng.randint(-3, 3), R.zero()):
+            assert_same(p.substitute(name, value), reference_substitute(p, name, value))
+        cast = {n: big.var(n) for n in p.variables()}
+        assert_same(p.cast(big), reference_map_values(p, cast, big))
+    for k in range(13):
+        assert_same(cheb(k).map_values({"t": gamma}, R), reference_compose(cheb(k), gamma))
+
+
+def test_map_values_never_evaluates(monkeypatch):
+    from charvar.polynomials import Polynomial
+
+    def refuse(self, assignment):
+        raise AssertionError("evaluate called")
+
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    p = X**3 * Y - 2 * Z + 7
+    assert p.map_values({"x": X + Y, "y": 2, "z": Y}, R) == (X + Y) ** 3 * 2 - 2 * Y + 7
+    assert p.substitute("x", Z) == Z**3 * Y - 2 * Z + 7
+    assert p.cast(PolyRing(("z", "y", "x"))).variables() == ("z", "y", "x")

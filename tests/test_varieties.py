@@ -24,6 +24,7 @@ from charvar.varieties import (
     _move_to_x2,
     _pretzel_R,
     _pretzel_R2,
+    _surface_factor,
     _triangular_descent,
 )
 
@@ -288,3 +289,13 @@ def test_report_json_shape():
 
     for f in data["factors"]:
         from_json(f["poly"])
+
+
+def test_surface_factor_is_fresh_each_time():
+    # the discriminant check runs once per process; each report still gets
+    # its own certificate and details list
+    a, b = _surface_factor(), _surface_factor()
+    assert a is not b and a.details is not b.details
+    assert a.cert_ok and b.cert_ok and a.details == b.details
+    a.details.append("changed")
+    assert _surface_factor().details == b.details
