@@ -26,9 +26,11 @@ ENGINE_VERSION = "charvar-0.1.0"
 
 # `trace` refuses a word whose weight (sum of |exponent|), or that of any
 # parenthesized power in it, is above this.
-# At the limit a^200, (ab)^100 and (ab^2)^66 take 0.3 s and (aB)^100 0.6 s
-# on a 2-CPU VM, but (abAB)^50 takes 6.6 s in the ring (66 351 terms);
-# irregular words of the same weight, or far less, can take much longer.
+# At the limit a^200, (ab)^100, (ab^2)^66 and (aB)^100 take 0.4-0.5 s on a
+# 2-CPU VM, and (abAB)^50 takes 3.0-3.7 s in the ring (66 351 terms).
+# Seeded random words of weight 100 with exponents +-1..+-3 take 0.5-3.3 s;
+# with exponents +-1 they can take over 40 s, because each block collapse
+# recurses on three words.
 MAX_TRACE_WEIGHT = 200
 
 # `verify` refuses ranges with more points than this, listing at most one
@@ -39,8 +41,9 @@ MAX_VERIFY_POINTS = 10000
 # limit, checking every point of a range, before any polynomial is built.
 # The slowest input at each limit on a 2-CPU VM: components pretzel:-5,-5
 # 1.2 s (pretzel:-6,-6 3.5 s, pretzel:-7,-7 16 s); charpoly twobridge:37,31
-# 3.7 s (twobridge:38,21 7.9 s, twobridge:44,19 over 40 s); components
-# whitehead:24 4.0 s.  A `verify` range takes the sum of its points.
+# 1.2-1.5 s (twobridge:38,21 2.0-2.4 s, twobridge:50,27 2.4-3.0 s,
+# twobridge:44,19 over 45 s); components whitehead:24 1.2-1.5 s.  A `verify`
+# range takes the sum of its points.
 MAX_PRETZEL = 5  # max(|m|, |n|) of pretzel:m,n
 MAX_TWOBRIDGE_P = 37  # p of twobridge:p,m and of verify 2's b(2p, 3)
 MAX_WHITEHEAD_K = 24  # k of whitehead:k

@@ -103,18 +103,25 @@ def _shifts(width, nvars):
     return range(width * (nvars - 1), -1, -width)
 
 
+def _pack(terms, shifts):
+    """(packed key, coefficient) list of a tuple-keyed term map."""
+    return [(sum(map(lshift, e, shifts)), c) for e, c in terms.items()]
+
+
 def _unpack(packed, width, shifts):
     """The tuple-keyed term map of a packed one."""
     mask = (1 << width) - 1
     return {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()}
 
 
-def _packed_product(pa, pb):
+def _packed_product(pa, pb, acc=None):
     """Packed term map of the product of two packed (key, coefficient) sequences.
 
-    pa is the outer loop; a cancelled key is deleted.
+    pa is the outer loop; a cancelled key is deleted.  With acc given, the
+    product is added into that map in place and it is returned.
     """
-    acc = {}
+    if acc is None:
+        acc = {}
     get = acc.get
     for ka, ca in pa:
         for kb, cb in pb:
@@ -133,16 +140,11 @@ def _mul_packed(a, b):
     One field per variable, each wide enough for the largest exponent sum
     any variable can reach, so adding two packed keys adds the vectors
     field by field and never carries (Monagan & Pearce, ISSAC 2009).
-    Pairs are visited as the tuple-keyed loop visited them and a cancelled
-    key is deleted, so the terms come out in that loop's order, the order
-    a floating-point evaluate sums them in.
     """
     top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
     w = top.bit_length()
     shifts = _shifts(w, len(next(iter(a))))
-    pa = [(sum(map(lshift, e, shifts)), c) for e, c in a.items()]
-    pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
-    return _unpack(_packed_product(pa, pb), w, shifts)
+    return _unpack(_packed_product(_pack(a, shifts), _pack(b, shifts)), w, shifts)
 
 
 def _add_into(acc, terms):
@@ -408,7 +410,7 @@ class Polynomial:
         w = bound.bit_length() or 1
         shifts = _shifts(w, len(ring.names))
         moves = [(i, shifts[j]) for i, j in moves]
-        values = [[(sum(map(lshift, e, shifts)), c) for e, c in v.items()] for _, v in expand]
+        values = [_pack(v, shifts) for _, v in expand]
         groups = {}
         for exp, c in terms.items():
             for i, v in folds:
@@ -439,8 +441,10 @@ class Polynomial:
         times powers of the assigned values, so the result keeps the
         inputs' own arithmetic (int stays exact, Fraction stays Fraction,
         a numpy extended-precision scalar stays extended, a Polynomial
-        gives a Polynomial).  The zero polynomial evaluates to int 0.
-        Raises KeyError if a variable with positive degree is missing.
+        gives a Polynomial).  Terms are summed in sorted_terms() order, so
+        a floating-point result does not depend on how the term map was
+        built.  The zero polynomial evaluates to int 0.  Raises KeyError
+        if a variable with positive degree is missing.
         """
         for n in self.variables():
             if n not in assignment:
@@ -448,7 +452,7 @@ class Polynomial:
         powers = {}
         total = 0
         names = self.ring.names
-        for exp, c in self.terms.items():
+        for exp, c in self.sorted_terms():
             term = c
             for name, e in zip(names, exp):
                 if e:

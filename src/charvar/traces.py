@@ -2,22 +2,28 @@
 
 For a word u in generators a, b there is a unique polynomial P_u with
 tr(rho(u)) = P_u(x, y, z) for every representation rho into SL2(C),
-where x = tr rho(a), y = tr rho(b), z = tr rho(ab).  trace_poly computes
-it by the classical reductions
+where x = tr rho(a), y = tr rho(b), z = tr rho(ab).  trace_poly first
+collapses the longest-saving repeated block by the power identity
 
-    tr(MN) + tr(MN^{-1}) = tr(M) tr(N)
-    M^k = S_k(tr M) I - S_{k-1}(tr M) M^{-1}
+    tr(P B^r Q) = S_r(tr B) tr(PQ) - S_{r-1}(tr B) tr(P B^{-1} Q),
 
-with the power identity applied both to single-generator syllables and
-to repeated blocks, so that words like (ba)^n (b^-1 a^-1)^n ... collapse
-to a handful of short words with Chebyshev coefficients.
+summed by Horner in tr B, so that words like (ba)^n (b^-1 a^-1)^n ...
+reduce to a handful of shorter words.  A word with no repeated
+block is walked once, left to right, in Z[x, y, z]<1, a, b, ab>, the
+rank-4 algebra the Cayley-Hamilton relations g^2 = tr(g) g - 1 and
+
+    ab + ba = tr(a) b + tr(b) a + (tr(ab) - tr(a) tr(b))
+
+make of the group ring (Horowitz, CPAM 1972; Goldman 2009): each
+syllable g^e is S_{e-1}(tr g) g - S_{e-2}(tr g), and the trace of
+p0 + p1 a + p2 b + p3 ab is 2 p0 + x p1 + y p2 + z p3.
 
 trace_poly_oracle recomputes the same polynomial by multiplying explicit
 SL2 matrices, with every b-letter scaled by c so that all entries are
 polynomials in x, y, c, and rewriting the trace in z = c + 1/c.  It works
 on term maps under packed-int exponent keys, one column pass per letter,
 and builds a single Polynomial at the end; it shares only PolyRing,
-Polynomial and free_reduce with the reduction engine.
+Polynomial and free_reduce with the engine.
 
 Words are tuples of (generator, exponent) syllables with generators in
 {"a", "b"}, nonzero exponents, and distinct adjacent generators.
@@ -25,11 +31,12 @@ Words are tuples of (generator, exponent) syllables with generators in
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from operator import lshift
 
-from .chebyshev import cheb_at
-from .polynomials import Polynomial, PolyRing
+from .chebyshev import cheb, cheb_at
+from .polynomials import Polynomial, PolyRing, _horner, _pack, _packed_product, _shifts, _unpack
 
 RING = PolyRing(("x", "y", "z"))
 X = RING.var("x")
@@ -204,7 +211,7 @@ def canonical_form(word):
     return best if best is not None else ()
 
 
-# -- the reduction engine -----------------------------------------------------
+# -- the engine: block collapse, then the walk ------------------------------
 
 _memo = {}
 
@@ -233,25 +240,14 @@ def _compute(u):
         if n == 2:
             ea, eb = u[0][1], u[1][1]
             return Z if ea == eb else X * Y - Z
-        signs = {e for _, e in u}
-        if len(signs) == 1:
+        if len({e for _, e in u}) == 1:
             # alternating (ab)^k or its inverse; n is even after cyclic reduction
             k = n // 2
             return 2 * cheb_at(k, Z) - Z * cheb_at(k - 1, Z)
-        # work on whichever of u, u^-1 has fewer inverse letters, so the
-        # (weight, negatives) measure strictly decreases despite the
-        # canonicalization inside recursive calls
-        neg = sum(1 for _, e in u if e == -1)
-        if 2 * neg > n:
-            u = word_inverse(u)
-        blk = _find_block(u)
-        if blk is not None:
-            return _block_reduce(*blk)
-        return _negative_elimination(u)
     blk = _find_block(u)
     if blk is not None:
         return _block_reduce(*blk)
-    return _exponent_flatten(u)
+    return _walk(u)
 
 
 def _find_block(u):
@@ -262,9 +258,7 @@ def _find_block(u):
     syllables and starts at position i of w, and repeats >= 2 is as large
     as w allows.  The choice maximizes (repeats - 1) * weight(block), the
     weight one application of the power identity removes.  Ties go to the
-    smallest r, then the smallest L, then the smallest i.  The choice
-    decides which subwords are memoised and the term order of the result,
-    so this order is part of the contract.
+    smallest r, then the smallest L, then the smallest i.
 
     The block of length L at cyclic position s repeats k times iff the
     syllables from s agree with those L further on for (k - 1) L
@@ -309,34 +303,88 @@ def _find_block(u):
     return w[:i], w[i : i + L], reps, w[j:]
 
 
+def _top(p):
+    return max(map(max, p.terms))
+
+
 def _block_reduce(prefix, block, reps, suffix):
-    # tr(P B^r Q) = S_r(tau) tr(PQ) - S_{r-1}(tau) tr(P B^-1 Q), tau = P_B
+    """tr(P B^r Q) = S_r(tau) tr(PQ) - S_{r-1}(tau) tr(P B^-1 Q), tau = P_B.
+
+    Summed by Horner in tau on packed keys: the coefficient of tau^j is
+    c_j tr(PQ) - d_j tr(P B^-1 Q) for S_r = sum c_j t^j and S_{r-1} =
+    sum d_j t^j, so neither S_k(tau) is expanded.  No exponent of the
+    result or of a partial sum passes r times tau's largest exponent plus
+    the larger of the other two's.
+    """
     tau = trace_poly(block)
     without = trace_poly(word_concat(prefix, suffix))
     with_inv = trace_poly(word_concat(prefix, word_inverse(block), suffix))
-    return cheb_at(reps, tau) * without - cheb_at(reps - 1, tau) * with_inv
+    w = (reps * _top(tau) + max(_top(without), _top(with_inv))).bit_length()
+    shifts = tuple(_shifts(w, 3))
+    groups = {}
+    for poly, k, sign in ((without, reps, 1), (with_inv, reps - 1, -1)):
+        packed = _pack(poly.terms, shifts)
+        for (j,), c in cheb(k).terms.items():
+            groups[(j,)] = _packed_product([(0, sign * c)], packed, groups.get((j,)))
+    return Polynomial(RING, _unpack(_horner(groups, [_pack(tau.terms, shifts)]), w, shifts))
 
 
-def _exponent_flatten(u):
-    # rotate the largest-exponent syllable to the front and peel it
-    i = max(range(len(u)), key=lambda j: abs(u[j][1]))
-    w = u[i:] + u[:i]
-    gen, exp = w[0]
-    rest = w[1:]
-    t = _GEN_TRACE[gen]
-    without = trace_poly(rest)
-    with_inv = trace_poly(word_concat(((gen, -1),), rest))
-    return cheb_at(exp, t) * without - cheb_at(exp - 1, t) * with_inv
+# Right multiplication by a and by b on the coordinates (p0, p1, p2, p3)
+# of p0 + p1 a + p2 b + p3 ab, from a^2 = x a - 1, b^2 = y b - 1 and
+# ba = y a + x b + (z - xy) - ab: row i holds the coefficients of M's
+# coordinates in coordinate i of M g.  _TRACE_ROW is tr on the same basis.
+_RIGHT = {
+    "a": ((0, -1, Z - X * Y, -Y), (1, X, Y, Z), (0, 0, X, 1), (0, 0, -1, 0)),
+    "b": ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, Y, 0), (0, 1, 0, Y)),
+}
+_TRACE_ROW = (2, X, Y, Z)
 
 
-def _negative_elimination(u):
-    # rotate an inverse letter to the end: tr(W g^-1) = tr(W) tr(g) - tr(Wg)
-    i = next(j for j, (_, e) in enumerate(u) if e == -1)
-    w = u[i + 1 :] + u[: i + 1]
-    gen = w[-1][0]
-    head = w[:-1]
-    t = _GEN_TRACE[gen]
-    return trace_poly(head) * t - trace_poly(word_concat(head, ((gen, 1),)))
+def _walk(u):
+    """tr u by one left-to-right pass in Z[x, y, z]<1, a, b, ab>.
+
+    The running product is p0 + p1 a + p2 b + p3 ab, four term maps under
+    (x, y, z) exponents packed into one int.  A syllable g^e right-
+    multiplies it by S_{e-1}(t) g - S_{e-2}(t), t = tr g, which is g^e by
+    Cayley-Hamilton for either sign of e.  Weighting x and y by 1 and z by
+    2, a prefix of weight k has p0 of degree at most k, p1 and p2 at most
+    k - 1 and p3 at most k - 2, and every partial product stays inside
+    that, so no exponent passes the word's weight and fields of its bit
+    length never carry.
+    """
+    w = sum(abs(e) for _, e in u).bit_length() or 1
+    shifts = tuple(_shifts(w, 3))
+    right, trace_row = _walk_rows(w)
+
+    def apply(r, elem):
+        acc = {}
+        for j, coeff in r:
+            _packed_product(coeff, elem[j].items(), acc)
+        return acc
+
+    elem = [{0: 1}, {}, {}, {}]
+    for gen, exp in u:
+        shift = shifts[0 if gen == "a" else 1]
+        s1 = [(d << shift, c) for (d,), c in cheb(exp - 1).terms.items()]
+        s2 = [(d << shift, -c) for (d,), c in cheb(exp - 2).terms.items()]
+        moved = [apply(r, elem) for r in right[gen]]
+        elem = [
+            _packed_product(s2, p.items(), _packed_product(s1, q.items()))
+            for p, q in zip(elem, moved)
+        ]
+    return Polynomial(RING, _unpack(apply(trace_row, elem), w, shifts))
+
+
+@lru_cache(maxsize=None)
+def _walk_rows(w):
+    """_RIGHT and _TRACE_ROW as [(j, packed coefficient)] rows, fields w bits wide."""
+    shifts = tuple(_shifts(w, 3))
+
+    def row(coeffs):
+        polys = [RING.zero() + p for p in coeffs]
+        return [(j, _pack(p.terms, shifts)) for j, p in enumerate(polys) if p.terms]
+
+    return {g: [row(r) for r in m] for g, m in _RIGHT.items()}, row(_TRACE_ROW)
 
 
 # -- the matrix oracle ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -286,3 +287,63 @@ def test_find_block_none_without_repeats():
     for n in (4, 9, 20):
         u = tuple(("ab"[j % 2], j + 1) for j in range(n))
         assert traces._find_block(u) is None and _find_block_reference(u) is None
+
+
+def test_walk_matches_oracle_on_random_words():
+    # the walk alone, on words the block collapse would otherwise take
+    rng = random.Random(1972)
+    for _ in range(300):
+        w = random_word(rng, max_syllables=12, max_exp=6)
+        assert traces._walk(w) == trace_poly_oracle(w), w
+
+
+def test_walk_matches_oracle_across_field_widths():
+    # the walk's packed fields are the bit length of the word's weight
+    # wide: a^129 b needs 8 bits for its x^128 and a^257 B 9 for x^256,
+    # so one bit fewer carries into the neighbouring field
+    texts = ["a^%d b" % e for e in (126, 127, 128, 129)]
+    texts += ["a^%d B" % e for e in (254, 255, 256, 257)]
+    texts += ["b^129 A", "a^64 b^65", "a^-130 b^2 A B^-3"]
+    for text in texts:
+        w = parse_word(text)
+        assert traces._walk(w) == trace_poly_oracle(w), text
+
+
+def _word_of_weight(rng, weight, max_exp):
+    # alternating syllables with exponents in +-1..+-max_exp, redrawn until
+    # the weight is exact and the syllable count even, so the word is
+    # cyclically reduced
+    while True:
+        out, total, gen = [], 0, "a"
+        while total < weight:
+            e = rng.randint(1, max_exp)
+            out.append((gen, rng.choice((-1, 1)) * e))
+            total += e
+            gen = "b" if gen == "a" else "a"
+        if total == weight and len(out) % 2 == 0:
+            return tuple(out)
+
+
+def test_irregular_words_of_weight_100_are_time_bounded(monkeypatch):
+    # each took 0.5-3.3 s on a 2-CPU VM, where the recursive fallbacks the
+    # walk replaced ran past 40 s; the bound leaves over 10x headroom.  Each
+    # result is checked against the exact trace at one integer SL2 pair
+    monkeypatch.setattr(traces, "_memo", {})
+    rng = random.Random(100)
+    for seed in range(6):
+        w = _word_of_weight(random.Random(seed), 100, 3)
+        t0 = time.perf_counter()
+        poly = trace_poly(w)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 35, (seed, elapsed)
+        a, b = _int_sl2(rng), _int_sl2(rng)
+        prod = ((1, 0), (0, 1))
+        for gen, exp in w:
+            m = a if gen == "a" else b
+            if exp < 0:
+                m = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+            for _ in range(abs(exp)):
+                prod = _int_mul(prod, m)
+        ab = _int_mul(a, b)
+        point = {"x": a[0][0] + a[1][1], "y": b[0][0] + b[1][1], "z": ab[0][0] + ab[1][1]}
+        assert poly.evaluate(point) == prod[0][0] + prod[1][1], seed
