@@ -1,8 +1,11 @@
 """Chebyshev-type polynomials S_k and exact distinct-root counting.
 
 S_0 = 1, S_1 = t, S_{k+1} = t*S_k - S_{k-1} for all integers k, extended
-to negative indices by S_{-k} = -S_{k-2}.  These drive both the closed
-forms of the link polynomials and the component counts.
+to negative indices by S_{-k} = -S_{k-2}.  Every closed form of the link
+polynomials, and the power identity of the trace engine, is a combination
+u S_k(tau) - v S_{k-1}(tau); cheb_comb evaluates one by a single
+substitution, so neither S_k(tau) is expanded.  The S_k drive the
+component counts too.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from .polynomials import NEG_INF, PolyRing, poly_gcd
 T_RING = PolyRing(("t",))
 T = T_RING.var("t")
 
+_COMB_RING = PolyRing(("t", "u", "v"))
+
 
 @lru_cache(maxsize=None)
 def cheb(k):
@@ -22,22 +27,29 @@ def cheb(k):
     The memo only ever stores the (immutable) result for an index, so
     concurrent callers observe identical values.
     """
-    return cheb_at(k, T)
+    if k < -1:
+        return -cheb(-k - 2)
+    s_prev, s = T_RING.zero(), T_RING.one()  # S_{-1}, S_0
+    for _ in range(k + 1):
+        s_prev, s = s, T * s - s_prev
+    return s_prev
 
 
 def cheb_at(k, value):
     """S_k evaluated at an arbitrary polynomial, in that polynomial's ring."""
-    ring = value.ring
-    if k == -1:
-        return ring.zero()
-    if k < -1:
-        return -cheb_at(-k - 2, value)
-    s_prev, s = ring.one(), value  # S_0, S_1
-    if k == 0:
-        return s_prev
-    for _ in range(k - 1):
-        s_prev, s = s, value * s - s_prev
-    return s
+    return cheb(k).map_values({"t": value}, value.ring)
+
+
+@lru_cache(maxsize=None)
+def _comb(k):
+    """u S_k(t) - v S_{k-1}(t) in Z[t, u, v]."""
+    u, v = _COMB_RING.var("u"), _COMB_RING.var("v")
+    return u * cheb(k).cast(_COMB_RING) - v * cheb(k - 1).cast(_COMB_RING)
+
+
+def cheb_comb(k, tau, u, v):
+    """u S_k(tau) - v S_{k-1}(tau) in tau's ring; u and v are ints or polynomials there."""
+    return _comb(k).map_values({"t": tau, "u": u, "v": v}, tau.ring)
 
 
 def cheb_diff(k):

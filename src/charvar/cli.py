@@ -26,11 +26,10 @@ ENGINE_VERSION = "charvar-0.1.0"
 
 # `trace` refuses a word whose weight (sum of |exponent|), or that of any
 # parenthesized power in it, is above this.
-# At the limit a^200, (ab)^100, (ab^2)^66 and (aB)^100 take 0.4-0.5 s on a
-# 2-CPU VM, and (abAB)^50 takes 3.0-3.7 s in the ring (66 351 terms).
-# Seeded random words of weight 100 with exponents +-1..+-3 take 0.5-3.3 s;
-# with exponents +-1 they can take over 40 s, because each block collapse
-# recurses on three words.
+# At the limit a^200, (ab)^100, (ab^2)^66 and (aB)^100 take 0.2 s on a
+# 2-CPU VM, (abAB)^50 1.4-1.5 s (66 351 terms), and seeded random words
+# 16-22 s, nearly all of it in the walk (56k-70k terms).  Seeded random
+# words of weight 100 take 0.3-0.5 s.
 MAX_TRACE_WEIGHT = 200
 
 # `verify` refuses ranges with more points than this, listing at most one
@@ -40,10 +39,10 @@ MAX_VERIFY_POINTS = 10000
 # `charpoly`, `components` and `verify` refuse a link above its family's
 # limit, checking every point of a range, before any polynomial is built.
 # The slowest input at each limit on a 2-CPU VM: components pretzel:-5,-5
-# 1.2 s (pretzel:-6,-6 3.5 s, pretzel:-7,-7 16 s); charpoly twobridge:37,31
-# 1.2-1.5 s (twobridge:38,21 2.0-2.4 s, twobridge:50,27 2.4-3.0 s,
-# twobridge:44,19 over 45 s); components whitehead:24 1.2-1.5 s.  A `verify`
-# range takes the sum of its points.
+# 0.4 s (pretzel:-6,-6 1.0 s, pretzel:-7,-7 3.9 s); charpoly twobridge:37,31
+# 0.35 s (the polynomials of twobridge:38,21, 44,19 and 50,27 0.1-0.35 s);
+# components whitehead:24 0.7 s.  A `verify` range takes the sum of its points.
+# MAX_TWOBRIDGE_P stays at 37 until every odd m for larger p has been timed.
 MAX_PRETZEL = 5  # max(|m|, |n|) of pretzel:m,n
 MAX_TWOBRIDGE_P = 37  # p of twobridge:p,m and of verify 2's b(2p, 3)
 MAX_WHITEHEAD_K = 24  # k of whitehead:k

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chebyshev import cheb_at
+from .chebyshev import cheb_at, cheb_comb
 from .polynomials import Polynomial
 from .traces import GAMMA, RING, X, Y, Z, trace_poly, word_concat
 
@@ -176,17 +176,13 @@ def pretzel_q(m, n, x1, y, beta):
     Q = x1 S_{n-1}(alpha) - (S_m(beta) - S_{m-1}(beta)) S_{n-2}(alpha).
     The pretzel link's own coordinates are (x z - y, y, pretzel_beta()).
     """
-    alpha = y * cheb_at(m - 1, beta) - x1 * cheb_at(m - 2, beta)
-    return x1 * cheb_at(n - 1, alpha) - (
-        cheb_at(m, beta) - cheb_at(m - 1, beta)
-    ) * cheb_at(n - 2, alpha)
+    alpha = cheb_comb(m - 1, beta, y, x1)
+    return cheb_comb(n - 1, alpha, x1, cheb_comb(m, beta, 1, 1))
 
 
 def pretzel_r(m, x1, y, beta):
     """The n = -1 cofactor R(m) in the coordinates (x1, y, beta)."""
-    return y * (cheb_at(m, beta) - cheb_at(m - 1, beta)) - x1 * (
-        cheb_at(m - 1, beta) - cheb_at(m - 2, beta)
-    )
+    return y * cheb_comb(m, beta, 1, 1) - x1 * cheb_comb(m - 1, beta, 1, 1)
 
 
 def pretzel_nonabelian(m, n):
@@ -245,11 +241,11 @@ def twisted_whitehead_factors(k):
     if k % 2:
         n = (k + 1) // 2
         cheb_factor = cheb_at(n - 1, g)
-        q = (X * Y - g * Z) * cheb_at(n - 1, g) - (X * Y - 2 * Z) * cheb_at(n - 2, g)
+        q = cheb_comb(n - 1, g, X * Y - g * Z, X * Y - 2 * Z)
     else:
         n = k // 2
-        cheb_factor = cheb_at(n, g) - cheb_at(n - 1, g)
-        q = Z * cheb_at(n, g) - (X * Y - Z) * cheb_at(n - 1, g)
+        cheb_factor = cheb_comb(n, g, 1, 1)
+        q = cheb_comb(n, g, Z, X * Y - Z)
     return REDUCIBLE_SURFACE, cheb_factor, q
 
 

@@ -7,9 +7,10 @@ collapses the longest-saving repeated block by the power identity
 
     tr(P B^r Q) = S_r(tr B) tr(PQ) - S_{r-1}(tr B) tr(P B^{-1} Q),
 
-summed by Horner in tr B, so that words like (ba)^n (b^-1 a^-1)^n ...
-reduce to a handful of shorter words.  A word with no repeated
-block is walked once, left to right, in Z[x, y, z]<1, a, b, ab>, the
+one chebyshev.cheb_comb, when that removes at least a quarter of the
+word's weight, so that words like (ba)^n (b^-1 a^-1)^n ... reduce to a
+handful of shorter words.  Any other word is walked once, left to
+right, in Z[x, y, z]<1, a, b, ab>, the
 rank-4 algebra the Cayley-Hamilton relations g^2 = tr(g) g - 1 and
 
     ab + ba = tr(a) b + tr(b) a + (tr(ab) - tr(a) tr(b))
@@ -35,8 +36,8 @@ from functools import lru_cache
 from math import comb
 from operator import lshift
 
-from .chebyshev import cheb, cheb_at
-from .polynomials import Polynomial, PolyRing, _horner, _pack, _packed_product, _shifts, _unpack
+from .chebyshev import cheb, cheb_comb
+from .polynomials import Polynomial, PolyRing, _pack, _packed_product, _shifts, _unpack
 
 RING = PolyRing(("x", "y", "z"))
 X = RING.var("x")
@@ -234,19 +235,27 @@ def _compute(u):
     if n == 1:
         gen, exp = u[0]
         t = _GEN_TRACE[gen]
-        # tr(g^e) = 2 S_e(t) - t S_{e-1}(t)
-        return 2 * cheb_at(exp, t) - t * cheb_at(exp - 1, t)
+        return cheb_comb(exp, t, 2, t)  # tr(g^e) = 2 S_e(t) - t S_{e-1}(t)
     if all(abs(e) == 1 for _, e in u):
         if n == 2:
             ea, eb = u[0][1], u[1][1]
             return Z if ea == eb else X * Y - Z
         if len({e for _, e in u}) == 1:
             # alternating (ab)^k or its inverse; n is even after cyclic reduction
-            k = n // 2
-            return 2 * cheb_at(k, Z) - Z * cheb_at(k - 1, Z)
+            return cheb_comb(n // 2, Z, 2, Z)
     blk = _find_block(u)
     if blk is not None:
-        return _block_reduce(*blk)
+        prefix, block, reps, suffix = blk
+        # collapse only when it removes at least a quarter of the weight:
+        # each collapse traces two words of nearly the full length, so a
+        # small saving costs more than the walk
+        if 4 * (reps - 1) * sum(abs(e) for _, e in block) >= sum(abs(e) for _, e in u):
+            return cheb_comb(
+                reps,
+                trace_poly(block),
+                trace_poly(word_concat(prefix, suffix)),
+                trace_poly(word_concat(prefix, word_inverse(block), suffix)),
+            )
     return _walk(u)
 
 
@@ -301,32 +310,6 @@ def _find_block(u):
     w = u[r:] + u[:r]
     j = i + reps * L
     return w[:i], w[i : i + L], reps, w[j:]
-
-
-def _top(p):
-    return max(map(max, p.terms))
-
-
-def _block_reduce(prefix, block, reps, suffix):
-    """tr(P B^r Q) = S_r(tau) tr(PQ) - S_{r-1}(tau) tr(P B^-1 Q), tau = P_B.
-
-    Summed by Horner in tau on packed keys: the coefficient of tau^j is
-    c_j tr(PQ) - d_j tr(P B^-1 Q) for S_r = sum c_j t^j and S_{r-1} =
-    sum d_j t^j, so neither S_k(tau) is expanded.  No exponent of the
-    result or of a partial sum passes r times tau's largest exponent plus
-    the larger of the other two's.
-    """
-    tau = trace_poly(block)
-    without = trace_poly(word_concat(prefix, suffix))
-    with_inv = trace_poly(word_concat(prefix, word_inverse(block), suffix))
-    w = (reps * _top(tau) + max(_top(without), _top(with_inv))).bit_length()
-    shifts = tuple(_shifts(w, 3))
-    groups = {}
-    for poly, k, sign in ((without, reps, 1), (with_inv, reps - 1, -1)):
-        packed = _pack(poly.terms, shifts)
-        for (j,), c in cheb(k).terms.items():
-            groups[(j,)] = _packed_product([(0, sign * c)], packed, groups.get((j,)))
-    return Polynomial(RING, _unpack(_horner(groups, [_pack(tau.terms, shifts)]), w, shifts))
 
 
 # Right multiplication by a and by b on the coordinates (p0, p1, p2, p3)

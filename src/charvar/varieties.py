@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from . import links
-from .chebyshev import cheb, cheb_at, cheb_diff, distinct_root_count
+from .chebyshev import cheb, cheb_at, cheb_comb, cheb_diff, distinct_root_count
 from .links import REDUCIBLE_SURFACE
 from .polynomials import PolyRing, is_perfect_square, poly_gcd
 from .traces import GAMMA, RING, X, Y, Z
@@ -426,9 +426,8 @@ def _linear_in_y(name, poly, details):
 
 def _pretzel_q3(m, n):
     x2, y, b2 = R_Q3.var("x2"), R_Q3.var("y"), R_Q3.var("b2")
-    return (y * cheb_at(m - 1, b2) - x2) * cheb_at(n - 1, x2) - cheb_at(m - 2, b2) * (
-        cheb_at(m, b2) - cheb_at(m - 1, b2)
-    ) * cheb_at(n - 2, x2)
+    s_m2 = cheb_at(m - 2, b2)
+    return cheb_comb(n - 1, x2, y * cheb_at(m - 1, b2) - x2, s_m2 * cheb_comb(m, b2, 1, 1))
 
 
 def _move_to_x2(m, n, q2, details):
@@ -440,7 +439,7 @@ def _move_to_x2(m, n, q2, details):
         return False
     details.append("gcd(S_{m-2}(b2), q2) = 1")
     q3 = _pretzel_q3(m, n)
-    alpha2 = y * cheb_at(m - 1, b2) - x1 * s_m2
+    alpha2 = cheb_comb(m - 1, b2, y, x1)
     ok = _witness(q3, {"x2": alpha2, "y": y, "b2": b2}, s_m2 * q2, details,
                   "q3[x2 -> alpha2] = S_{m-2}(b2) q2",
                   "x1 -> (y S_{m-1}(b2) - x2)/S_{m-2}(b2) move verified exactly")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from charvar.chebyshev import T, cheb, cheb_at, cheb_diff, distinct_root_count
+from charvar.chebyshev import T, cheb, cheb_at, cheb_comb, cheb_diff, distinct_root_count
 from charvar.polynomials import PolyRing, poly_gcd
 
 
@@ -85,3 +85,41 @@ def test_cheb_at_matches_substitution():
     inner = R.var("x") * R.var("z") - R.var("y")
     for k in range(-6, 7):
         assert cheb_at(k, inner) == cheb(k).map_values({"t": inner}, R)
+
+
+def _s_table(tau, lo, hi):
+    # S_k(tau) for lo <= k <= hi from S_0 = 1, S_1 = tau and the recurrence
+    # S_{k+1} = tau S_k - S_{k-1}, run upwards and, solved for S_{k-1},
+    # downwards, in tau's ring
+    s = {0: tau.ring.one(), 1: tau}
+    for k in range(1, hi):
+        s[k + 1] = tau * s[k] - s[k - 1]
+    for k in range(0, lo, -1):
+        s[k - 1] = tau * s[k] - s[k + 1]
+    return s
+
+
+def test_cheb_comb_matches_recurrence():
+    R1 = PolyRing(("x",))
+    x = R1.var("x")
+    R3 = PolyRing(("x", "y", "z"))
+    X, Y, Z = R3.var("x"), R3.var("y"), R3.var("z")
+    cases = [
+        (R1.const(3), 2, -1),  # constant tau
+        (R1.const(-2), x, 0),
+        (x, 2, x),  # t -> x and v -> x: two sources into one target
+        (x, 0, x + 1),
+        (x, 0, 0),
+        (x**2 - 2, x + 1, 3),
+        (Z, 2, Z),
+        (X, Y, X),
+        (X * Y - Z, X * Z - Y, X * Y - 2 * Z),
+        (X * Y * Z + 2 - Y**2 - Z**2, Y, 0),
+        (X**2 + Y**2 + Z**2 - X * Y * Z - 2, Z, X * Y - Z),
+    ]
+    for tau, u, v in cases:
+        s = _s_table(tau, -7, 12)
+        for k in range(-6, 13):
+            got = cheb_comb(k, tau, u, v)
+            assert got.ring == tau.ring
+            assert got == u * s[k] - v * s[k - 1], (tau, u, v, k)

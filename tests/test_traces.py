@@ -159,10 +159,12 @@ def test_oracle_matches_engine_across_field_widths():
 
 
 def test_oracle_matches_engine_on_long_relator_words():
-    # both relator words of b(2p, 3) for 22 < p <= cli.MAX_TWOBRIDGE_P and
-    # of W_k for 7 <= k <= 12, past the range of the test above
+    # both relator words of b(2p, 3) for 22 < p <= cli.MAX_TWOBRIDGE_P, of
+    # W_k for 7 <= k <= 12, past the range of the test above, and of three
+    # irregular Riley words whose small repeated blocks the engine walks
     specs = [(p, 3) for p in range(23, cli.MAX_TWOBRIDGE_P + 1) if p % 3]
     specs += [(2 * k + 2, 2 * k + 1) for k in range(7, 13)]
+    specs += [(38, 21), (44, 19), (50, 27)]
     for p, m in specs:
         for u in _relator_words(p, m):
             assert trace_poly(u) == trace_poly_oracle(u), (p, m, u)
@@ -325,17 +327,18 @@ def _word_of_weight(rng, weight, max_exp):
 
 
 def test_irregular_words_of_weight_100_are_time_bounded(monkeypatch):
-    # each took 0.5-3.3 s on a 2-CPU VM, where the recursive fallbacks the
-    # walk replaced ran past 40 s; the bound leaves over 10x headroom.  Each
-    # result is checked against the exact trace at one integer SL2 pair
+    # each took 0.3-0.5 s on a 2-CPU VM; the +-1..+-3 words ran past 40 s
+    # with the recursive fallbacks the walk replaced, and the +-1 words past
+    # 45 s while every repeated block was collapsed, however little it saved.
+    # Each result is checked against the exact trace at one integer SL2 pair
     monkeypatch.setattr(traces, "_memo", {})
     rng = random.Random(100)
-    for seed in range(6):
-        w = _word_of_weight(random.Random(seed), 100, 3)
+    for seed, max_exp in [(seed, 3) for seed in range(6)] + [(seed, 1) for seed in range(4)]:
+        w = _word_of_weight(random.Random(seed), 100, max_exp)
         t0 = time.perf_counter()
         poly = trace_poly(w)
         elapsed = time.perf_counter() - t0
-        assert elapsed < 35, (seed, elapsed)
+        assert elapsed < 35, (seed, max_exp, elapsed)
         a, b = _int_sl2(rng), _int_sl2(rng)
         prod = ((1, 0), (0, 1))
         for gen, exp in w:
@@ -346,4 +349,4 @@ def test_irregular_words_of_weight_100_are_time_bounded(monkeypatch):
                 prod = _int_mul(prod, m)
         ab = _int_mul(a, b)
         point = {"x": a[0][0] + a[1][1], "y": b[0][0] + b[1][1], "z": ab[0][0] + ab[1][1]}
-        assert poly.evaluate(point) == prod[0][0] + prod[1][1], seed
+        assert poly.evaluate(point) == prod[0][0] + prod[1][1], (seed, max_exp)
