@@ -7,7 +7,7 @@ polynomials for two-bridge and pretzel links, and component counting
 with machine-checkable irreducibility certificates.
 """
 
-from .chebyshev import cheb, cheb_at, cheb_comb, cheb_diff, distinct_root_count
+from .chebyshev import cheb, cheb_at, cheb_diff, distinct_root_count
 from .links import (
     CharPoly,
     Pretzel,

@@ -181,8 +181,12 @@ def pretzel_q(m, n, x1, y, beta):
 
 
 def pretzel_r(m, x1, y, beta):
-    """The n = -1 cofactor R(m) in the coordinates (x1, y, beta)."""
-    return y * cheb_comb(m, beta, 1, 1) - x1 * cheb_comb(m - 1, beta, 1, 1)
+    """The n = -1 cofactor R(m) in the coordinates (x1, y, beta).
+
+    R = y (S_m - S_{m-1}) - x1 (S_{m-1} - S_{m-2}) of beta, which
+    S_{m-2} = beta S_{m-1} - S_m turns into one combination.
+    """
+    return cheb_comb(m, beta, y - x1, y + x1 - x1 * beta)
 
 
 def pretzel_nonabelian(m, n):
