@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -65,9 +64,10 @@ def cached_char_poly(p, m, cache_dir=None):
     An entry from another engine version is recomputed; one that cannot
     be parsed, whose recorded (p, m) is not its key, or whose polynomial
     is not in the variables (x, y, z), raises CacheError.  Nothing else
-    about a hit is checked here: only `verify` compares it with the
-    closed forms.  Entries are written to a temporary file and renamed
-    into place, never left half-written.
+    about a hit is checked here: only `verify` compares it, up to sign,
+    with the word polynomial its report has matched to the certified
+    factors.  Entries are written to a temporary file and renamed into
+    place, never left half-written.
     """
     if cache_dir is None:
         return links.char_poly_twobridge(p, m).full
@@ -175,10 +175,9 @@ def _verify_point(seed, cache_dir, link):
     if not isinstance(link, links.Pretzel):
         tb = links.as_two_bridge(link)
         if cache_dir is not None:
-            # the factors multiply to the closed form, not to the word's polynomial
             cached = cached_char_poly(tb.p, tb.m, cache_dir)
-            prod = math.prod(f.poly for f in rep.factors)
-            if cached != prod and cached != -prod:
+            full = links.char_poly_twobridge(tb.p, tb.m).full
+            if cached != full and cached != -full:
                 row["notes"].append("cached polynomial mismatch")
                 ok = False
         if seed is not None and tb.p <= 9:
@@ -273,6 +272,8 @@ def cmd_components(args):
 def cmd_verify(args):
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
+    if args.seed is not None and args.seed < 0:
+        raise ValueError("--seed must not be negative, got %d" % args.seed)
     cache_dir = _cache_dir(args)
     if args.family == "1":
         lo_m, hi_m = _parse_range(args.m)

@@ -142,15 +142,13 @@ def char_poly_twobridge(p, m):
 def char_poly_variants(p, m):
     """Both conjugate variants of the word-derived polynomial.
 
-    Returns (P_{a w a^-1 b^-1} - P_{w b^-1}, P_{a^-1 w a b^-1} - P_{w b^-1}).
-    The two generate the same principal ideal up to sign for the links
-    in this catalog; the verification layer asserts that.
+    Returns (P_{a w a^-1 b^-1} - P_{w b^-1}, P_{a^-1 w a b^-1} - P_{w b^-1}),
+    the first the memoised char_poly_twobridge(p, m).full.  The two
+    generate the same principal ideal up to sign for the links in this
+    catalog; the verification layer asserts that.
     """
-    w = riley_word(p, m)
-    return (
-        _relator_difference(w, conjugate_by_inverse=False),
-        _relator_difference(w, conjugate_by_inverse=True),
-    )
+    full = char_poly_twobridge(p, m).full
+    return full, _relator_difference(riley_word(p, m), conjugate_by_inverse=True)
 
 
 def _relator_difference(w, conjugate_by_inverse):

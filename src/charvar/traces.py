@@ -9,9 +9,10 @@ collapses the longest-saving repeated block by the power identity
 
 one chebyshev.cheb_comb, when that removes at least a quarter of the
 word's weight, so that words like (ba)^n (b^-1 a^-1)^n ... reduce to a
-handful of shorter words.  Any other word is walked once, left to
-right, in Z[x, y, z]<1, a, b, ab>, the
-rank-4 algebra the Cayley-Hamilton relations g^2 = tr(g) g - 1 and
+handful of shorter words.  Every other word, the empty word and single
+syllables included, is walked once, left to right, in
+Z[x, y, z]<1, a, b, ab>, the rank-4 algebra the Cayley-Hamilton
+relations g^2 = tr(g) g - 1 and
 
     ab + ba = tr(a) b + tr(b) a + (tr(ab) - tr(a) tr(b))
 
@@ -45,8 +46,6 @@ Y = RING.var("y")
 Z = RING.var("z")
 
 GAMMA = X**2 + Y**2 + Z**2 - X * Y * Z - 2
-
-_GEN_TRACE = {"a": X, "b": Y}
 
 
 # -- words -------------------------------------------------------------------
@@ -229,20 +228,6 @@ def trace_poly(word):
 
 
 def _compute(u):
-    n = len(u)
-    if n == 0:
-        return RING.const(2)
-    if n == 1:
-        gen, exp = u[0]
-        t = _GEN_TRACE[gen]
-        return cheb_comb(exp, t, 2, t)  # tr(g^e) = 2 S_e(t) - t S_{e-1}(t)
-    if all(abs(e) == 1 for _, e in u):
-        if n == 2:
-            ea, eb = u[0][1], u[1][1]
-            return Z if ea == eb else X * Y - Z
-        if len({e for _, e in u}) == 1:
-            # alternating (ab)^k or its inverse; n is even after cyclic reduction
-            return cheb_comb(n // 2, Z, 2, Z)
     blk = _find_block(u)
     if blk is not None:
         prefix, block, reps, suffix = blk

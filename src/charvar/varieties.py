@@ -601,8 +601,7 @@ def verify_twobridge3(p):
     res, rotated = certify_rotated_even(q)
     details = ["irreducible in x, y^2 after rotation"] + res.details
     factors.append(_explicit_factor(q, SquareObstruction("y"), CertResult(res.ok, details)))
-    full = links.char_poly_twobridge(p, 3).full
-    return _report(link, factors, full, variant=links.char_poly_variants(p, 3)[1])
+    return _report(link, factors, *links.char_poly_variants(p, 3))
 
 
 def verify_twisted_whitehead(k):
@@ -619,8 +618,7 @@ def verify_twisted_whitehead(k):
     factors.append(_cheb_family_factor(univ, GAMMA))
     factors.append(_certified_whitehead_q(k, n, q))
     p, m = 2 * k + 2, 2 * k + 1
-    full = links.char_poly_twobridge(p, m).full
-    return _report(link, factors, full, variant=links.char_poly_variants(p, m)[1])
+    return _report(link, factors, *links.char_poly_variants(p, m))
 
 
 def _certified_whitehead_q(k, n, q):

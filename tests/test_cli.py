@@ -149,9 +149,17 @@ def test_verify_whitehead_cache_and_seed(tmp_path, capsys):
     assert [r["link"] for r in rows] == ["whitehead:0", "whitehead:1"]
     assert all(r["pass"] and r["numeric_residual"] < 1e-6 for r in rows)
 
+    # a hit is compared up to sign: the negated entry still passes
     entry = os.path.join(cache, "twobridge_4_3.json")
     with open(entry) as fh:
         data = json.load(fh)
+    for term in data["full"]["terms"]:
+        term["coeff"] = str(-int(term["coeff"]))
+    with open(entry, "w") as fh:
+        json.dump(data, fh)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and all(r["pass"] for r in json.loads(out))
+
     data["full"]["terms"][0]["coeff"] = str(int(data["full"]["terms"][0]["coeff"]) + 1)
     with open(entry, "w") as fh:
         json.dump(data, fh)
@@ -364,6 +372,19 @@ def test_link_limits_exit_2_before_any_build(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and limit in err, (argv, err)
+    assert calls == []
+
+
+def test_verify_negative_seed_exit_2_before_any_build(capsys, monkeypatch):
+    calls = stub_builders(monkeypatch)
+    for argv in (
+        ("verify", "1", "--seed", "-5"),
+        ("verify", "2", "--p", "4..5", "--seed", "-1"),
+        ("verify", "2", "--p", "10..11", "--seed", "-1"),
+        ("verify", "3", "--k", "0..1", "--seed", "-5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--seed" in err, (argv, err)
     assert calls == []
 
 

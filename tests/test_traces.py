@@ -75,6 +75,13 @@ def test_oracle_simple_cases():
     assert trace_poly_oracle(parse_word("ab")) == Z
     assert trace_poly_oracle(parse_word("abAB")) == GAMMA
     assert trace_poly_oracle(parse_word("B^2")) == Y**2 - 2
+    # the empty word, single syllables, two-letter words and (ab)^k
+    words = ["", "ab", "aB", "Ab", "AB"]
+    words += ["%s^%d" % (g, e) for g in "ab" for e in range(-12, 13) if e]
+    words += ["(%s)^%d" % (blk, k) for blk in ("ab", "AB") for k in range(2, 13)]
+    for text in words:
+        w = parse_word(text)
+        assert trace_poly(w) == trace_poly_oracle(w), text
 
 
 def test_oracle_equivalence_random(rng):
