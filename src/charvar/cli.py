@@ -167,6 +167,17 @@ def _cache_dir(args):
     return None if args.no_cache else args.cache_dir
 
 
+# `verify --seed` spot-checks two-bridge links up to this p numerically
+MAX_SPOT_CHECK_P = 9
+
+
+def _spot_checked(link):
+    """Whether `verify --seed` runs the numeric spot check at this link."""
+    if isinstance(link, links.Pretzel):
+        return False
+    return links.as_two_bridge(link).p <= MAX_SPOT_CHECK_P
+
+
 def _verify_point(seed, cache_dir, link):
     rep, expected = _counted(link)
     row = rep.to_json()
@@ -180,7 +191,7 @@ def _verify_point(seed, cache_dir, link):
             if cached != full and cached != -full:
                 row["notes"].append("cached polynomial mismatch")
                 ok = False
-        if seed is not None and tb.p <= 9:
+        if seed is not None and _spot_checked(link):
             resid = numeric.relator_residual(tb, numeric.random_rep(seed))
             row["numeric_residual"] = resid
             ok = ok and resid < 1e-6
@@ -298,6 +309,10 @@ def cmd_verify(args):
         raise ValueError("the given ranges contain more points than the limit of %d"
                          % MAX_VERIFY_POINTS)
     rows = _run_points(partial(_verify_point, args.seed, cache_dir), points, args.jobs)
+    if args.seed is not None and not any(map(_spot_checked, points)):
+        print("note: --seed %d was not used: no point in the range gets the numeric"
+              " spot check (two-bridge links with p <= %d)" % (args.seed, MAX_SPOT_CHECK_P),
+              file=sys.stderr)
     _print_rows(rows, args.format)
     return 0 if all(row["pass"] for row in rows) else 1
 

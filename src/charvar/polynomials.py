@@ -3,22 +3,41 @@
 Polynomials live in a PolyRing with a fixed, ordered tuple of variable
 names.  The monomial order is graded lexicographic, with earlier names
 more significant.  Coefficients are plain Python ints, so arithmetic is
-exact at any size.  Values are immutable after construction and safe to
-share between threads.
+exact at any size.
+
+A Polynomial keeps one term map under packed int keys: the exponents
+are fields of one int, most significant variable first, each
+max(10, bit_length(top)) bits wide for an exact upper bound top on the
+polynomial's exponents, so three exponents below 1024 fit in one 30-bit
+digit.  Adding two keys adds the exponent vectors field by field, and
+every result takes its width from a bound on its own exponents, so no
+key carries (Monagan & Pearce, ISSAC 2009).  `terms`, the same map under
+exponent tuples, is built on first read and cached.  Values are
+immutable after construction and each cache is written once with an
+equal value, so they are safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, lshift
+from functools import reduce
+from operator import add, lshift, or_
 
 NEG_INF = float("-inf")
+
+MIN_WIDTH = 10  # bits per exponent field; three fields fill one 30-bit digit
+_WIDE = 1 << MIN_WIDTH  # the least exponent bound that needs wider fields
+
+
+def _width(top):
+    """Field width of packed keys whose exponents are at most top."""
+    return top.bit_length() if top >= _WIDE else MIN_WIDTH
 
 
 class PolyRing:
     """A polynomial ring ZZ[n0 > n1 > ...] with a fixed variable order."""
 
-    __slots__ = ("names", "index", "_zero_exp", "_vars", "_zero", "_one")
+    __slots__ = ("names", "index", "_zero_exp", "_vars", "_shift_tables", "_zero", "_one")
 
     def __init__(self, names):
         names = tuple(names)
@@ -28,8 +47,9 @@ class PolyRing:
         self.index = {n: i for i, n in enumerate(names)}
         self._zero_exp = (0,) * len(names)
         self._vars = {}
-        self._zero = Polynomial(self, {})
-        self._one = Polynomial(self, {self._zero_exp: 1})
+        self._shift_tables = {}
+        self._zero = Polynomial(self, {}, 0)
+        self._one = Polynomial(self, {0: 1}, 0)
 
     def zero(self):
         return self._zero
@@ -41,39 +61,51 @@ class PolyRing:
         c = int(c)
         if c == 0:
             return self._zero
-        return Polynomial(self, {self._zero_exp: c})
+        return Polynomial(self, {0: c}, 0)
 
     def var(self, name):
         try:
             return self._vars[name]
         except KeyError:
             pass
-        i = self.index[name]  # KeyError for unknown names
-        exp = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        v = Polynomial(self, {exp: 1})
-        self._vars[name] = v
-        return v
+        return self._vars.setdefault(name, self.monomial(name, 1))
 
     def monomial(self, name, e):
         """The monomial name**e."""
         if e < 0:
             raise ValueError("negative exponent")
-        i = self.index[name]
-        exp = tuple(e if j == i else 0 for j in range(len(self.names)))
-        return Polynomial(self, {exp: 1})
+        i = self.index[name]  # KeyError for unknown names
+        return Polynomial(self, {e << self._shifts(_width(e))[i]: 1}, e)
 
     def from_terms(self, terms):
         """Build a polynomial from {exponent tuple: coefficient}, cleaning zeros."""
         clean = {}
         for exp, c in terms.items():
             c = int(c)
-            if c == 0:
-                continue
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != len(self.names) or any(e < 0 for e in exp):
-                raise ValueError("bad exponent vector %r" % (exp,))
-            clean[exp] = clean.get(exp, 0) + c
-        return Polynomial(self, {e: c for e, c in clean.items() if c != 0})
+            if c:
+                exp = tuple(map(int, exp))
+                clean[exp] = clean.get(exp, 0) + c
+        return self._from_exponents(clean)
+
+    def _from_exponents(self, terms):
+        """The polynomial of {tuple of ints: int}; every key is checked, zero values dropped."""
+        n = len(self.names)
+        if terms and (set(map(len, terms)) != {n} or min(map(min, zip(*terms)), default=0) < 0):
+            bad = next(e for e in terms if len(e) != n or any(x < 0 for x in e))
+            raise ValueError("bad exponent vector %r" % (bad,))
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+        top = max(map(max, zip(*terms)), default=0)
+        shifts = self._shifts(_width(top))
+        return Polynomial(self, {sum(map(lshift, e, shifts)): c for e, c in terms.items()}, top)
+
+    def _shifts(self, w):
+        """Bit offsets of the fields of a packed key, most significant variable first."""
+        shifts = self._shift_tables.get(w)
+        if shifts is None:
+            shifts = tuple(range(w * (len(self.names) - 1), -1, -w))
+            self._shift_tables[w] = shifts
+        return shifts
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -85,43 +117,22 @@ class PolyRing:
         return "PolyRing(%s)" % ", ".join(self.names)
 
 
-def _grlex_key(item):
-    exp = item[0]
-    return (sum(exp), exp)
-
-
-def _shift(mono, b):
-    """Terms of the one-term map mono times b: a shift never merges two terms."""
-    ((e, c),) = mono.items()
-    if not any(e):  # a constant factor leaves every exponent as it is
-        return {eb: c * cb for eb, cb in b.items()}
-    return {tuple(map(add, e, eb)): c * cb for eb, cb in b.items()}
-
-
-def _shifts(width, nvars):
-    """Bit offsets of the fields of a packed exponent key, most significant first."""
-    return range(width * (nvars - 1), -1, -width)
-
-
-def _pack(terms, shifts):
-    """(packed key, coefficient) list of a tuple-keyed term map."""
-    return [(sum(map(lshift, e, shifts)), c) for e, c in terms.items()]
-
-
-def _unpack(packed, width, shifts):
-    """The tuple-keyed term map of a packed one."""
-    mask = (1 << width) - 1
-    return {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()}
-
-
 def _packed_product(pa, pb, acc=None):
     """Packed term map of the product of two packed (key, coefficient) sequences.
 
-    pa is the outer loop; a cancelled key is deleted.  With acc given, the
-    product is added into that map in place and it is returned.
+    pa is the outer loop and pb is read once per term of pa; a cancelled
+    key is deleted.  With a nonempty acc given, the product is added into
+    that map in place.  An empty accumulator is filled from pa's first term
+    by one comprehension, since one shift never merges two terms.  Use the
+    returned map.
     """
-    if acc is None:
-        acc = {}
+    pa = iter(pa)
+    if not acc:
+        for ka, ca in pa:
+            acc = {ka + kb: ca * cb for kb, cb in pb}
+            break
+        else:
+            return {}
     get = acc.get
     for ka, ca in pa:
         for kb, cb in pb:
@@ -134,19 +145,6 @@ def _packed_product(pa, pb, acc=None):
     return acc
 
 
-def _mul_packed(a, b):
-    """Terms of a*b, accumulated under exponent vectors packed into one int.
-
-    One field per variable, each wide enough for the largest exponent sum
-    any variable can reach, so adding two packed keys adds the vectors
-    field by field and never carries (Monagan & Pearce, ISSAC 2009).
-    """
-    top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
-    w = top.bit_length()
-    shifts = _shifts(w, len(next(iter(a))))
-    return _unpack(_packed_product(_pack(a, shifts), _pack(b, shifts)), w, shifts)
-
-
 def _add_into(acc, terms):
     """Add a term map into acc in place, dropping cancelled keys."""
     get = acc.get
@@ -155,25 +153,41 @@ def _add_into(acc, terms):
         if s:
             acc[e] = s
         else:
-            acc.pop(e, None)
+            del acc[e]
 
 
-def _variable_index(terms):
-    """Index of the variable a term map is (one term, coefficient 1, degree 1), or None."""
-    if len(terms) == 1:
-        ((e, c),) = terms.items()
-        if c == 1 and sum(e) == 1:
-            return e.index(1)
+def _difference(p, q):
+    """p - q, subtracting q's terms from a copy of p's."""
+    a, b, top = p._common(q)
+    acc = dict(a)
+    get = acc.get
+    for k, c in b.items():
+        s = get(k, 0) - c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+    return Polynomial(p.ring, acc, top)
+
+
+def _variable_index(p):
+    """Index of the variable p is (one term, coefficient 1, degree 1), or None."""
+    if len(p._packed) == 1:
+        ((k, c),) = p._packed.items()
+        bit = k.bit_length() - 1
+        if c == 1 and k > 0 and k == 1 << bit and bit % p._w == 0:
+            return len(p.ring.names) - 1 - bit // p._w
     return None
 
 
 def _horner(groups, values):
     """Packed terms of the sum of part * prod(values[i] ** key[i]) over groups.
 
-    groups maps exponent keys to packed term maps, and values are packed
-    (key, coefficient) lists.  Nested Horner: in the first value, with
-    each coefficient the same sum over the remaining values, so the
-    running sum is multiplied once per degree step and never copied.
+    groups maps exponent keys to packed term maps, and values are
+    re-iterable packed (key, coefficient) sequences.  Nested Horner: in
+    the first value, with each coefficient the same sum over the
+    remaining values, so the running sum is multiplied once per degree
+    step and never copied.
     """
     if not groups:
         return {}
@@ -192,30 +206,73 @@ def _horner(groups, values):
 
 
 class Polynomial:
-    """An element of a PolyRing; term map from exponent tuple to nonzero int."""
+    """An element of a PolyRing: nonzero int coefficients under packed exponent keys.
 
-    __slots__ = ("ring", "terms", "_hash")
+    top is an upper bound on every exponent, and the keys' fields are
+    _width(top) bits wide.
+    """
 
-    def __init__(self, ring, terms):
+    __slots__ = ("ring", "_packed", "_top", "_w", "_terms", "_hash")
+
+    def __init__(self, ring, packed, top):
         self.ring = ring
-        self.terms = terms
+        self._packed = packed
+        self._top = top
+        self._w = top.bit_length() if top >= _WIDE else MIN_WIDTH
+        self._terms = None
         self._hash = None
+
+    @property
+    def terms(self):
+        """The term map under exponent tuples, built on first read and cached."""
+        terms = self._terms
+        if terms is None:
+            mask = (1 << self._w) - 1
+            shifts = self.ring._shifts(self._w)
+            terms = {tuple([(k >> s) & mask for s in shifts]): c for k, c in self._packed.items()}
+            self._terms = terms
+        return terms
+
+    def _at(self, w):
+        """The packed term map with fields w bits wide; w must hold every exponent."""
+        if w == self._w:
+            return self._packed
+        shifts = self.ring._shifts(w)
+        return {sum(map(lshift, e, shifts)): c for e, c in self.terms.items()}
+
+    def _exact_top(self):
+        """The largest exponent that occurs (0 for a constant)."""
+        return max(map(max, zip(*self.terms)), default=0)
+
+    def _common(self, q):
+        """self's and q's packed maps at one width, and the larger exponent bound."""
+        top = max(self._top, q._top)
+        if self._w == q._w:
+            return self._packed, q._packed, top
+        w = _width(top)
+        return self._at(w), q._at(w), top
+
+    def _field(self, name):
+        """(shift, mask) of a variable's field in the packed keys."""
+        w = self._w
+        return self.ring._shifts(w)[self.ring.index[name]], (1 << w) - 1
 
     # -- basic predicates ------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._packed
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and self.ring._zero_exp in self.terms)
+        packed = self._packed
+        return not packed or (len(packed) == 1 and 0 in packed)
 
     def is_one(self):
-        return self.terms == {self.ring._zero_exp: 1}
+        return self._packed == {0: 1}
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(self.ring._zero_exp, 0)
+        return self._packed.get(0, 0)
 
     # -- ring operations --------------------------------------------------
 
@@ -232,39 +289,52 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        terms = dict(self.terms)
-        _add_into(terms, q.terms)
-        return Polynomial(self.ring, terms)
+        a, b, top = self._common(q)
+        if len(a) < len(b):
+            a, b = b, a
+        acc = dict(a)
+        _add_into(acc, b)
+        return Polynomial(self.ring, acc, top)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.ring, {k: -c for k, c in self._packed.items()}, self._top)
 
     def __sub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        return _difference(self, q)
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return q + (-self)
+        return _difference(q, self)
 
     def __mul__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        if not self.terms or not q.terms:
+        a, b = self._packed, q._packed
+        if not a or not b:
             return self.ring._zero
+        top = self._top + q._top
+        if top >= _WIDE:
+            # a bound that would widen the fields is replaced by the exact
+            # one: the largest exponent of a product in a variable is the
+            # sum of the factors' largest
+            top = max(map(add, map(max, zip(*self.terms)), map(max, zip(*q.terms))))
+        w = _width(top)
+        if w != self._w:
+            a = self._at(w)
+        if w != q._w:
+            b = q._at(w)
         # multiply the smaller term map into the larger one
-        a, b = self.terms, q.terms
         if len(a) > len(b):
             a, b = b, a
-        terms = _shift(a, b) if len(a) == 1 else _mul_packed(a, b)
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, _packed_product(a.items(), b.items()), top)
 
     __rmul__ = __mul__
 
@@ -284,46 +354,63 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.is_constant() and self.terms.get(self.ring._zero_exp, 0) == other
+            return self.is_constant() and self._packed.get(0, 0) == other
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        if self.ring != other.ring:
+            return False
+        a, b, _ = self._common(other)
+        return a == b
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.ring.names, frozenset(self.terms.items())))
+            # equal polynomials are hashed at the narrowest width their
+            # exponents allow
+            packed = self._packed
+            if self._w != MIN_WIDTH:
+                packed = self._at(_width(self._exact_top()))
+            h = hash((self.ring.names, frozenset(packed.items())))
             self._hash = h
         return h
 
     # -- structure --------------------------------------------------------
 
     def total_degree(self):
-        if not self.terms:
+        if not self._packed:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def degree_in(self, name):
         """Degree in one variable; -inf sentinel for the zero polynomial."""
-        if not self.terms:
+        if not self._packed:
             return NEG_INF
-        i = self.ring.index[name]
-        return max(e[i] for e in self.terms)
+        s, mask = self._field(name)
+        return max([(k >> s) & mask for k in self._packed])
 
     def coeff_in(self, name, d):
         """Coefficient of name**d, as a polynomial in the remaining variables."""
-        i = self.ring.index[name]
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == d:
-                e = list(exp)
-                e[i] = 0
-                terms[tuple(e)] = c
-        return Polynomial(self.ring, terms)
+        s, mask = self._field(name)
+        return Polynomial(
+            self.ring,
+            {k - (d << s): c for k, c in self._packed.items() if (k >> s) & mask == d},
+            self._top,
+        )
+
+    def coeffs_in(self, name):
+        """[coeff_in(name, d) for d = 0 .. degree_in(name)], split in one pass."""
+        if not self._packed:
+            return []
+        s, mask = self._field(name)
+        parts = [{} for _ in range(self.degree_in(name) + 1)]
+        for k, c in self._packed.items():
+            e = (k >> s) & mask
+            parts[e][k - (e << s)] = c
+        return [Polynomial(self.ring, part, self._top) for part in parts]
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self._packed:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self.terms, key=lambda e: (sum(e), e))
         return exp, self.terms[exp]
@@ -333,29 +420,20 @@ class Polynomial:
 
     def variables(self):
         """Names that actually occur."""
-        present = [False] * len(self.ring.names)
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    present[i] = True
-        return tuple(n for n, p in zip(self.ring.names, present) if p)
+        occurring = reduce(or_, self._packed, 0)
+        mask = (1 << self._w) - 1
+        shifts = self.ring._shifts(self._w)
+        return tuple(n for n, s in zip(self.ring.names, shifts) if (occurring >> s) & mask)
 
     def derivative(self, name):
-        i = self.ring.index[name]
-        terms = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[i] = e - 1
-            new = tuple(new)
-            s = terms.get(new, 0) + c * e
-            if s:
-                terms[new] = s
-            else:
-                del terms[new]
-        return Polynomial(self.ring, terms)
+        s, mask = self._field(name)
+        one = 1 << s
+        # distinct keys stay distinct when one exponent drops by one
+        return Polynomial(
+            self.ring,
+            {k - one: c * ((k >> s) & mask) for k, c in self._packed.items() if (k >> s) & mask},
+            self._top,
+        )
 
     # -- substitution and evaluation ---------------------------------------
 
@@ -377,57 +455,63 @@ class Polynomial:
         variable of `ring` is renamed by moving its exponent (two sent to
         one target add theirs), an int or constant value is folded into
         the coefficient, and the variables left are grouped out and
-        expanded by nested Horner.  All of it runs on exponents packed as
-        in _mul_packed, with fields wide enough for the result.
+        expanded by nested Horner.  All of it reads self's packed keys and
+        writes the result's, with fields wide enough for the result.
         """
-        terms = self.terms
-        moves = []  # (source index, target index)
-        folds = []  # (source index, int value)
-        expand = []  # (source index, term map of the value)
-        bound = 0  # no exponent of the result is above this
-        for i, (name, top) in enumerate(zip(self.ring.names, map(max, zip(*terms)))):
-            if not top:
+        src = self._packed
+        mask = (1 << self._w) - 1
+        occurring = reduce(or_, src, 0)
+        moves = []  # (source shift, target index, largest exponent)
+        folds = []  # (source shift, int value)
+        expand = []  # (source shift, value, largest exponent)
+        for name, s in zip(self.ring.names, self.ring._shifts(self._w)):
+            if not (occurring >> s) & mask:
                 continue
             if name not in mapping:
                 raise KeyError("no value for variable %r" % name)
             v = mapping[name]
             if isinstance(v, int):
-                folds.append((i, v))
+                folds.append((s, v))
             elif not isinstance(v, Polynomial):
                 raise TypeError("value for %r is neither an int nor a Polynomial" % name)
             elif v.ring != ring:
                 raise ValueError("value for %r is not in the target ring" % name)
             elif v.is_constant():
-                folds.append((i, v.constant_value()))
+                folds.append((s, v.constant_value()))
             else:
-                j = _variable_index(v.terms)
+                top = max([(k >> s) & mask for k in src])
+                j = _variable_index(v)
                 if j is None:
-                    expand.append((i, v.terms))
-                    bound += top * max(map(max, v.terms))
+                    expand.append((s, v, top))
                 else:
-                    moves.append((i, j))
-                    bound += top
-        w = bound.bit_length() or 1
-        shifts = _shifts(w, len(ring.names))
-        moves = [(i, shifts[j]) for i, j in moves]
-        values = [_pack(v, shifts) for _, v in expand]
+                    moves.append((s, j, top))
+        # no exponent of the result is above this
+        bound = sum(t for _, _, t in moves) + sum(t * v._top for _, v, t in expand)
+        if bound >= _WIDE:  # as in __mul__: only an exact bound may widen the fields
+            bound = sum(t for _, _, t in moves) + sum(t * v._exact_top() for _, v, t in expand)
+        w = _width(bound)
+        shifts = ring._shifts(w)
+        moves = [(s, shifts[j]) for s, j, _ in moves]
+        values = [v._at(w).items() for _, v, _ in expand]
+        expand = [s for s, _, _ in expand]
         groups = {}
-        for exp, c in terms.items():
-            for i, v in folds:
-                if exp[i]:
-                    c *= v ** exp[i]
+        for k, c in src.items():
+            for s, v in folds:
+                e = (k >> s) & mask
+                if e:
+                    c *= v**e
             if not c:
                 continue
-            k = 0
-            for i, shift in moves:
-                k += exp[i] << shift
-            part = groups.setdefault(tuple([exp[i] for i, _ in expand]), {})
-            s = part.get(k, 0) + c
-            if s:
-                part[k] = s
+            key = 0
+            for s, t in moves:
+                key += ((k >> s) & mask) << t
+            part = groups.setdefault(tuple([(k >> s) & mask for s in expand]), {})
+            c += part.get(key, 0)
+            if c:
+                part[key] = c
             else:
-                del part[k]
-        return Polynomial(ring, _unpack(_horner(groups, values), w, shifts))
+                del part[key]
+        return Polynomial(ring, _horner(groups, values), bound)
 
     def cast(self, ring):
         """Inject into another ring containing all occurring variables."""
@@ -466,31 +550,59 @@ class Polynomial:
     # -- divisibility -------------------------------------------------------
 
     def div_exact(self, q):
-        """Exact quotient self/q, or None when q does not divide self."""
+        """Exact quotient self/q, or None when q does not divide self.
+
+        Division by leading terms in the graded-lex order, on keys with
+        one more field above the exponents that holds the total degree, so
+        the largest key is the leading term.  No remainder term has a
+        degree above self's, which sets the width.
+        """
         q = self._coerce(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self.ring._zero
-        qexp, qc = q.leading()
-        rem = self
+        top = self.total_degree()
+        if q.total_degree() > top:
+            return None
+        n = len(self.ring.names)
+        w = _width(top)
+        shifts = (n * w,) + self.ring._shifts(w)
+
+        def graded(p):
+            return {sum(map(lshift, (sum(e),) + e, shifts)): c for e, c in p.terms.items()}
+
+        rem = graded(self)
+        divisor = graded(q)
+        kq = max(divisor)
+        cq = divisor[kq]
+        divisor = list(divisor.items())
+        mask = (1 << w) - 1
+        low = (1 << n * w) - 1
         quot = {}
-        while not rem.is_zero():
-            rexp, rc = rem.leading()
-            exp = tuple(i - j for i, j in zip(rexp, qexp))
-            if any(e < 0 for e in exp):
+        while rem:
+            kr = max(rem)
+            if any((kr >> s) & mask < (kq >> s) & mask for s in shifts):
                 return None
-            c, r = divmod(rc, qc)
+            c, r = divmod(rem[kr], cq)
             if r:
                 return None
-            quot[exp] = quot.get(exp, 0) + c
-            rem = rem - Polynomial(self.ring, {exp: c}) * q
-        return Polynomial(self.ring, {e: c for e, c in quot.items() if c})
+            k = kr - kq
+            quot[k & low] = c
+            get = rem.get
+            for kb, cb in divisor:
+                kb += k
+                s = get(kb, 0) - c * cb
+                if s:
+                    rem[kb] = s
+                else:
+                    del rem[kb]
+        return Polynomial(self.ring, quot, top)
 
     def content(self):
         """gcd of the integer coefficients (nonnegative)."""
         g = 0
-        for c in self.terms.values():
+        for c in self._packed.values():
             g = math.gcd(g, c)
             if g == 1:
                 return 1
@@ -500,7 +612,7 @@ class Polynomial:
         c = self.content()
         if c <= 1:
             return self
-        return Polynomial(self.ring, {e: v // c for e, v in self.terms.items()})
+        return Polynomial(self.ring, {k: v // c for k, v in self._packed.items()}, self._top)
 
     def normalized(self):
         """Sign-normalized: leading coefficient positive (zero stays zero)."""
@@ -513,10 +625,13 @@ class Polynomial:
     # -- rendering and serialization -----------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=_grlex_key, reverse=True)
+        """(exponent, coefficient) pairs, descending in the graded-lex order."""
+        terms = self.terms
+        # exponents are distinct, so no two coefficients are compared
+        return [item for _, item in sorted(zip(map(sum, terms), terms.items()), reverse=True)]
 
     def __str__(self):
-        if not self.terms:
+        if not self._packed:
             return "0"
         chunks = []
         for exp, c in self.sorted_terms():
@@ -551,7 +666,11 @@ class Polynomial:
 
 
 def from_json(data, ring=None):
-    """Rebuild a Polynomial from its interchange form."""
+    """Rebuild a Polynomial from its interchange form.
+
+    One pass converts and sums the terms; the exponent vectors of the
+    nonzero sums are then checked once, as they are packed.
+    """
     names = tuple(data["vars"])
     if ring is None:
         ring = PolyRing(names)
@@ -559,25 +678,12 @@ def from_json(data, ring=None):
         raise ValueError("variable list %r does not match ring %r" % (names, ring.names))
     terms = {}
     for t in data["terms"]:
-        exp = tuple(int(e) for e in t["exp"])
+        exp = tuple(map(int, t["exp"]))
         terms[exp] = terms.get(exp, 0) + int(t["coeff"])
-    return ring.from_terms(terms)
+    return ring._from_exponents({e: c for e, c in terms.items() if c})
 
 
 # -- gcd ----------------------------------------------------------------------
-
-
-def _main_variable(p, q):
-    """Most significant variable occurring in p or q, or None."""
-    best = None
-    for poly in (p, q):
-        for exp in poly.terms:
-            for i, e in enumerate(exp):
-                if e and (best is None or i < best):
-                    best = i
-    if best is None:
-        return None
-    return p.ring.names[best]
 
 
 def _prem(f, g, v):
@@ -596,10 +702,8 @@ def _prem(f, g, v):
 
 def _content_pp(p, v):
     """Content and primitive part of p seen as univariate in v."""
-    d = p.degree_in(v)
-    coeffs = [p.coeff_in(v, e) for e in range(d + 1)]
     cont = p.ring.zero()
-    for c in coeffs:
+    for c in p.coeffs_in(v):
         if not c.is_zero():
             cont = _gcd(cont, c)
             if cont.is_one():
@@ -613,15 +717,78 @@ def _monomial_gcd(mono, q):
     """gcd(c*x^a, q) = gcd(c, content(q)) * x^min(a, least exponents of q).
 
     The normalized gcd is unique, so this is the remainder sequence's
-    answer in one pass over q's terms.
+    answer, read off q's packed keys field by field.
     """
-    ((low, g),) = mono.terms.items()
-    for e, c in q.terms.items():
-        g = math.gcd(g, c)
-        low = tuple(map(min, low, e))
-        if g == 1 and not any(low):
-            break
-    return Polynomial(mono.ring, {low: g})
+    a, b, top = mono._common(q)
+    ((key, g),) = a.items()
+    w = _width(top)
+    mask = (1 << w) - 1
+    low = 0
+    for s in mono.ring._shifts(w):
+        e = (key >> s) & mask
+        if e:
+            low |= min(e, min([(k >> s) & mask for k in b])) << s
+    return Polynomial(mono.ring, {low: math.gcd(g, *b.values())}, top)
+
+
+def _dense_prem(a, b):
+    """A pseudo-remainder of a by b, as coefficient lists lowest degree first.
+
+    Each step scales the remainder by lc(b) / g and subtracts lc(r) / g
+    times a shift of b, g = gcd(lc(r), lc(b)), so the top term cancels;
+    the result has no trailing zero.
+    """
+    r = list(a)
+    top = len(b) - 1
+    lb = b[-1]
+    low = b[:-1]
+    while len(r) > top:
+        lr = r.pop()
+        g = math.gcd(lr, lb)
+        mr, mb = lb // g, lr // g
+        if mr != 1:
+            r = [c * mr for c in r]
+        shift = len(r) - top
+        for i, c in enumerate(low, shift):
+            r[i] -= mb * c
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _dense_gcd(p, q, v):
+    """gcd of two polynomials in the one variable v, positive leading coefficient.
+
+    The primitive remainder sequence on dense int coefficient lists
+    (Brown, J. ACM 1971): the gcd is gcd(contents) times the primitive
+    part of the last nonzero remainder.
+    """
+    ring = p.ring
+
+    def dense(f):
+        s = ring._shifts(f._w)[ring.index[v]]
+        co = [0] * ((max(f._packed) >> s) + 1)
+        for k, c in f._packed.items():
+            co[k >> s] = c
+        g = math.gcd(*co)
+        return g, [c // g for c in co]
+
+    ca, a = dense(p)
+    cb, b = dense(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _dense_prem(a, b)
+        if r:
+            g = math.gcd(*r)
+            r = [c // g for c in r]
+        a, b = b, r
+    g = math.gcd(ca, cb)
+    if a[-1] < 0:
+        g = -g
+    top = len(a) - 1
+    s = ring._shifts(_width(top))[ring.index[v]]
+    return Polynomial(ring, {e << s: g * c for e, c in enumerate(a) if c}, top)
 
 
 def _gcd(p, q):
@@ -631,11 +798,14 @@ def _gcd(p, q):
         return p.normalized()
     if p.is_constant() and q.is_constant():
         return p.ring.const(math.gcd(p.constant_value(), q.constant_value()))
-    if len(q.terms) == 1:
+    if len(q._packed) == 1:
         p, q = q, p
-    if len(p.terms) == 1:
+    if len(p._packed) == 1:
         return _monomial_gcd(p, q)
-    v = _main_variable(p, q)
+    pv, qv = p.variables(), q.variables()
+    if pv == qv and len(pv) == 1:
+        return _dense_gcd(p, q, pv[0])
+    v = min(pv + qv, key=p.ring.index.__getitem__)  # the most significant occurring
     cp, fp = _content_pp(p, v)
     cq, fq = _content_pp(q, v)
     cont = _gcd(cp, cq)
@@ -686,7 +856,7 @@ def is_perfect_square(p):
     if d % 2:
         return None
     e = d // 2
-    coeffs = [p.coeff_in(v, i) for i in range(d + 1)]
+    coeffs = p.coeffs_in(v)
     top = is_perfect_square(coeffs[d])
     if top is None or top.is_zero():
         return None

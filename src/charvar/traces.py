@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import lshift
+from operator import eq, lshift
 
 from .chebyshev import cheb, cheb_comb
-from .polynomials import Polynomial, PolyRing, _pack, _packed_product, _shifts, _unpack
+from .polynomials import Polynomial, PolyRing, _packed_product, _width
 
 RING = PolyRing(("x", "y", "z"))
 X = RING.var("x")
@@ -77,7 +77,7 @@ def word_concat(*parts):
 
 
 def word_inverse(word):
-    return tuple((gen, -exp) for gen, exp in reversed(word))
+    return tuple([(gen, -exp) for gen, exp in reversed(word)])
 
 
 def word_to_string(word):
@@ -198,17 +198,22 @@ def canonical_form(word):
     """Least representative among all rotations of the word and its inverse.
 
     Trace polynomials are invariant under conjugation (hence cyclic
-    rotation) and inversion, so this is the right cache key.
+    rotation) and inversion, so this is the right cache key.  The least
+    rotation starts at the least syllable, so only those rotations are
+    built.
     """
     w = cyclic_reduce(free_reduce(word))
+    if not w:
+        return ()
     best = None
-    for u in (w, cyclic_reduce(word_inverse(w))):
-        n = len(u)
-        for i in range(n):
-            rot = u[i:] + u[:i]
-            if best is None or rot < best:
-                best = rot
-    return best if best is not None else ()
+    for u in (w, word_inverse(w)):  # the inverse of a cyclically reduced word is one
+        first = min(u)
+        for i, syllable in enumerate(u):
+            if syllable == first:
+                rot = u[i:] + u[:i]
+                if best is None or rot < best:
+                    best = rot
+    return best
 
 
 # -- the engine: block collapse, then the walk ------------------------------
@@ -256,39 +261,50 @@ def _find_block(u):
 
     The block of length L at cyclic position s repeats k times iff the
     syllables from s agree with those L further on for (k - 1) L
-    positions; one backward scan over u + u per L gives that run for
+    positions.  Syllables are compared as small int codes, one bytes
+    scan of u + u per L, whose stretches of agreement give that run for
     every s, so the search is O(n^2) in the syllable count n.  Rotation
     r = s (i = 0) leaves the most room, and k copies fit in rotation r
     iff i = s - r is at most n - k L, so each (s, L) with the largest
     saving first appears in rotation max(0, s - (n - k L)).
     """
     n = len(u)
-    uu = u + u
+    codes = {}
+    uu = [codes.setdefault(syllable, len(codes)) for syllable in u] * 2
     cum = [0]
-    for _, e in uu:
+    for _, e in u + u:
         cum.append(cum[-1] + abs(e))
     best_saved = 0
     best = None  # (r, L, i, reps)
     for L in range(2, n // 2 + 1):
+        # the copies after the first weigh at most the word's weight less
+        # the first copy's, which is at least L
+        if cum[n] - L < best_saved:
+            break
         cap = n - L  # agreement beyond this cannot fit in one rotation
-        run = 0
-        # positions s >= n repeat s - n and are scanned only to seed the
-        # runs; the run from s = n - 1 needs cap positions, up to 2n - L - 2
-        for t in range(2 * n - L - 2, n - 1, -1):
-            run = run + 1 if uu[t] == uu[t + L] else 0
-        for s in range(n - 1, -1, -1):
-            run = run + 1 if uu[s] == uu[s + L] else 0
-            if run < L:
-                continue
-            reps = 1 + min(run, cap) // L
-            saved = (reps - 1) * (cum[s + L] - cum[s])
-            if saved < best_saved:
-                continue
-            r = max(0, s - (n - reps * L))
-            key = (r, L, s - r, reps)
-            if saved > best_saved or key < best:
-                best_saved = saved
-                best = key
+        agree = bytes(map(eq, uu, uu[L:]))
+        run = b"\x01" * L  # a stretch of agreement shorter than L gives no block
+        a = agree.find(run)
+        while 0 <= a < n:
+            b = agree.find(0, a + L)
+            if b < 0:
+                b = len(agree)
+            # each s in [a, b) starts b - s agreements, and the copies of
+            # its block after the first lie in [s + L, b + L): once that
+            # stretch weighs less than the best saving, no later s can win
+            for s in range(a, min(b - L, n - 1) + 1):
+                if cum[b + L] - cum[s + L] < best_saved:
+                    break
+                reps = 1 + min(b - s, cap) // L
+                saved = (reps - 1) * (cum[s + L] - cum[s])
+                if saved < best_saved:
+                    continue
+                r = max(0, s - (n - reps * L))
+                key = (r, L, s - r, reps)
+                if saved > best_saved or key < best:
+                    best_saved = saved
+                    best = key
+            a = agree.find(run, b)
     if best is None:
         return None
     r, L, i, reps = best
@@ -317,40 +333,41 @@ def _walk(u):
     Cayley-Hamilton for either sign of e.  Weighting x and y by 1 and z by
     2, a prefix of weight k has p0 of degree at most k, p1 and p2 at most
     k - 1 and p3 at most k - 2, and every partial product stays inside
-    that, so no exponent passes the word's weight and fields of its bit
-    length never carry.
+    that, so no exponent passes the word's weight, the bound the fields'
+    width and the result take.
     """
-    w = sum(abs(e) for _, e in u).bit_length() or 1
-    shifts = tuple(_shifts(w, 3))
+    weight = sum(abs(e) for _, e in u)
+    w = _width(weight)
+    shifts = RING._shifts(w)
     right, trace_row = _walk_rows(w)
 
     def apply(r, elem):
         acc = {}
         for j, coeff in r:
-            _packed_product(coeff, elem[j].items(), acc)
+            acc = _packed_product(coeff, elem[j].items(), acc)
         return acc
 
     elem = [{0: 1}, {}, {}, {}]
     for gen, exp in u:
         shift = shifts[0 if gen == "a" else 1]
-        s1 = [(d << shift, c) for (d,), c in cheb(exp - 1).terms.items()]
-        s2 = [(d << shift, -c) for (d,), c in cheb(exp - 2).terms.items()]
+        # a key of a polynomial in t alone is its exponent
+        s1 = [(d << shift, c) for d, c in cheb(exp - 1)._packed.items()]
+        s2 = [(d << shift, -c) for d, c in cheb(exp - 2)._packed.items()]
         moved = [apply(r, elem) for r in right[gen]]
         elem = [
             _packed_product(s2, p.items(), _packed_product(s1, q.items()))
             for p, q in zip(elem, moved)
         ]
-    return Polynomial(RING, _unpack(apply(trace_row, elem), w, shifts))
+    return Polynomial(RING, apply(trace_row, elem), weight)
 
 
 @lru_cache(maxsize=None)
 def _walk_rows(w):
     """_RIGHT and _TRACE_ROW as [(j, packed coefficient)] rows, fields w bits wide."""
-    shifts = tuple(_shifts(w, 3))
 
     def row(coeffs):
         polys = [RING.zero() + p for p in coeffs]
-        return [(j, _pack(p.terms, shifts)) for j, p in enumerate(polys) if p.terms]
+        return [(j, list(p._at(w).items())) for j, p in enumerate(polys) if p._packed]
 
     return {g: [row(r) for r in m] for g, m in _RIGHT.items()}, row(_TRACE_ROW)
 
@@ -468,7 +485,7 @@ def trace_poly_oracle(word):
                     del row[key]
             if not row:
                 del by_c[dj]
-    return Polynomial(RING, terms)
+    return RING._from_exponents(terms)
 
 
 # -- identity suite -------------------------------------------------------------

@@ -312,7 +312,9 @@ def _report(link, factors, full, variant=None, notes=()):
     match the product up to sign as well.
     """
     prod = RING.one()
-    for f in factors:
+    # the surface factor, first and smallest, is multiplied in last: it
+    # then meets one large operand instead of two
+    for f in reversed(factors):
         prod = prod * f.poly
     sign = _match_sign(full, prod)
     notes = list(notes)

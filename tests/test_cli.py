@@ -186,6 +186,22 @@ def test_cache_entry_under_wrong_key_exit_1(tmp_path, capsys):
     assert code == 1 and "malformed" in err
 
 
+def test_cache_entry_with_a_bad_term_exit_1(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    code, _, _ = run(capsys, "charpoly", "twobridge:4,3", "--cache-dir", cache)
+    assert code == 0
+    entry = os.path.join(cache, "twobridge_4_3.json")
+    with open(entry) as fh:
+        good = json.load(fh)
+    for field, value in (("exp", [1, -1, 0]), ("exp", [1, 0]), ("coeff", "1.5")):
+        data = json.loads(json.dumps(good))
+        data["full"]["terms"][0][field] = value
+        with open(entry, "w") as fh:
+            json.dump(data, fh)
+        code, out, err = run(capsys, "charpoly", "twobridge:4,3", "--cache-dir", cache)
+        assert code == 1 and out == "" and "malformed" in err, (field, value, err)
+
+
 def test_cache_entry_in_other_variables_exit_1(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, _, _ = run(capsys, "charpoly", "twobridge:4,3", "--cache-dir", cache)
@@ -469,3 +485,20 @@ def test_verify_huge_negative_twobridge_bounds(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_points", record_only)
     code, _, _ = run(capsys, "verify", "2", "--p=-1000000000000..5")
     assert code == 0 and seen == ["twobridge:4,3", "twobridge:5,3"]
+
+
+def test_verify_says_when_the_seed_is_unused(capsys):
+    # no point of these ranges gets the numeric spot check
+    for argv in (
+        ("verify", "1", "--m", "1..1", "--n", "2..2", "--seed", "3"),
+        ("verify", "2", "--p", "10..11", "--seed", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        plain = run(capsys, *argv[:-2])
+        assert (code, out) == plain[:2] and code == 0, argv
+        assert err.count("\n") == 1 and "--seed 3 was not used" in err, (argv, err)
+        assert plain[2] == ""
+    # one point at p <= 9 uses it, and nothing is printed
+    code, out, err = run(capsys, "verify", "2", "--p", "8..10", "--seed", "3", "--format", "json")
+    assert code == 0 and err == ""
+    assert ["numeric_residual" in row for row in json.loads(out)] == [True, False]

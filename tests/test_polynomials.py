@@ -429,3 +429,202 @@ def test_map_values_never_evaluates(monkeypatch):
     assert p.map_values({"x": X + Y, "y": 2, "z": Y}, R) == (X + Y) ** 3 * 2 - 2 * Y + 7
     assert p.substitute("x", Z) == Z**3 * Y - 2 * Z + 7
     assert p.cast(PolyRing(("z", "y", "x"))).variables() == ("z", "y", "x")
+
+
+# -- the dense univariate gcd against the recursive route ------------------------
+
+
+def reference_gcd(p, q):
+    """The recursive primitive remainder sequence, as _gcd ran it before the dense route."""
+    ring = p.ring
+    if p.is_zero():
+        return q.normalized()
+    if q.is_zero():
+        return p.normalized()
+    if p.is_constant() and q.is_constant():
+        return ring.const(math.gcd(p.constant_value(), q.constant_value()))
+    v = min(p.variables() + q.variables(), key=ring.index.__getitem__)
+
+    def content_pp(f):
+        cont = ring.zero()
+        for d in range(f.degree_in(v) + 1):
+            c = f.coeff_in(v, d)
+            if not c.is_zero():
+                cont = reference_gcd(cont, c)
+        return cont, f.div_exact(cont)
+
+    def prem(f, g):
+        dg = g.degree_in(v)
+        lc_g = g.coeff_in(v, dg)
+        r = f
+        while not r.is_zero() and r.degree_in(v) >= dg:
+            dr = r.degree_in(v)
+            r = r * lc_g - g * r.coeff_in(v, dr) * ring.monomial(v, dr - dg)
+        return r
+
+    cp, f = content_pp(p)
+    cq, g = content_pp(q)
+    cont = reference_gcd(cp, cq)
+    if f.degree_in(v) < g.degree_in(v):
+        f, g = g, f
+    while not g.is_zero():
+        r = prem(f, g)
+        if not r.is_zero():
+            r = content_pp(r)[1]
+        f, g = g, r
+    if f.degree_in(v) == 0:
+        return cont.normalized()
+    return (cont * content_pp(f)[1]).normalized()
+
+
+def test_dense_gcd_matches_the_recursive_route(rng, monkeypatch):
+    from charvar import polynomials
+
+    dense_calls = []
+    dense = polynomials._dense_gcd
+    monkeypatch.setattr(
+        polynomials, "_dense_gcd", lambda p, q, v: dense_calls.append(v) or dense(p, q, v)
+    )
+    for ring, name in ((T_RING, "t"), (R, "y"), (R_WITNESS, "x1")):
+        v = ring.var(name)
+
+        def univariate(max_deg, max_coeff=6):
+            terms = {}
+            for e in range(rng.randint(0, max_deg) + 1):
+                c = rng.randint(-max_coeff, max_coeff)
+                if c:
+                    terms[e] = c
+            return sum((c * v**e for e, c in terms.items()), ring.zero())
+
+        for _ in range(150):
+            shared = univariate(3) if rng.random() < 0.7 else ring.one()
+            p = rng.choice([1, -1, 2, -6, 12]) * shared * univariate(4)
+            q = rng.choice([1, -1, 3, -4, 18]) * shared * univariate(4)
+            if rng.random() < 0.1:
+                q = ring.const(rng.choice([-12, -1, 0, 5, 18]))
+            got = poly_gcd(p, q)
+            assert got == reference_gcd(p, q), (p, q)
+            assert poly_gcd(q, p) == got
+            assert got.is_zero() or got.leading_coefficient() > 0
+            if not p.is_zero() and not q.is_zero():
+                assert p.div_exact(got) is not None and q.div_exact(got) is not None
+    assert len(dense_calls) > 200
+    # named cases: a shared factor with content, negative leads, coprime pairs
+    assert poly_gcd(-6 * (T + 1) ** 2 * (T - 2), 4 * (T + 1) * (T + 3)) == 2 * (T + 1)
+    assert poly_gcd(-(T**5) + T, -(T**3) + T) == T**3 - T
+    assert poly_gcd(3 * T**2 + 3, 6 * T - 6) == 3
+    assert poly_gcd(T**2 - 2, T**2 + T).is_one()
+
+
+# -- packed terms -----------------------------------------------------------------
+
+
+def tuple_mul(a, b):
+    """Product of two tuple-keyed term maps, kept as an independent reference."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(i + j for i, j in zip(ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def test_packed_equal_values_compare_and_hash_alike(rng):
+    for _ in range(100):
+        p = random_poly(rng, R, max_terms=5, max_deg=4)
+        q = random_poly(rng, R, max_terms=5, max_deg=4)
+        built = [
+            p * q,
+            q * p,
+            R.from_terms(tuple_mul(p.terms, q.terms)),
+            (p * q).map_values({"x": X, "y": Y, "z": Z}, R),
+            (p * q).cast(PolyRing(("z", "y", "x"))).cast(R),
+            p * q + X**1500 - X**1500,  # a wider field width from a looser bound
+        ]
+        for a in built:
+            for b in built:
+                assert a == b and hash(a) == hash(b)
+        table = {built[0]: "found"}
+        assert all(table[b] == "found" for b in built)
+    wide = X**1030 + Y - X**1030
+    assert wide == Y and hash(wide) == hash(Y) and {Y: 1}[wide] == 1
+    assert wide != Y + 1 and wide - Y == 0
+
+
+def test_packed_products_and_substitutions_past_ten_bits(rng):
+    for top in (1023, 1024, 1500, 5000):
+        for _ in range(20):
+            p = random_poly(rng, R, max_terms=5, max_deg=3)
+            q = random_poly(rng, R, max_terms=5, max_deg=3)
+            big = R.from_terms({(top, 0, 1): 3, (0, top // 2, 0): -2, (1, 1, 1): 5})
+            for a, b in ((p * big, q), (big, big + q), (big * X**top, p)):
+                assert (a * b).terms == tuple_mul(a.terms, b.terms)
+            # z -> y^2 + x: a substitution whose result has exponents near 2 top
+            value = Y**2 + X
+            got = (big + p).substitute("z", value)
+            want = {}
+            for (i, j, k), c in (big + p).terms.items():
+                term = {(i, j, 0): c}
+                for _ in range(k):
+                    term = tuple_mul(term, value.terms)
+                for e, d in term.items():
+                    want[e] = want.get(e, 0) + d
+            assert got.terms == {e: c for e, c in want.items() if c}
+            assert (big * big).div_exact(big) == big
+
+
+def test_terms_view_is_tuple_keyed_for_every_kernel_result(rng):
+    from charvar.chebyshev import cheb_comb
+    from charvar.traces import parse_word, trace_poly
+
+    p = random_poly(rng, R, max_terms=6, max_deg=4) + X * Y + 3
+    q = random_poly(rng, R, max_terms=6, max_deg=4) + Z
+    results = [
+        p + q,
+        p - q,
+        3 - p,
+        -p,
+        p * q,
+        p**3,
+        (p * q).div_exact(q),
+        p.map_values({"x": Y + Z, "y": 2, "z": X}, R),
+        p.cast(R_WITNESS),
+        p.coeff_in("x", 1),
+        p.derivative("y"),
+        (6 * p).primitive_part(),
+        poly_gcd(p * q, q * (X + 1)),
+        cheb_comb(5, Z, p, q),
+        trace_poly(parse_word("abAB a^3 b^-2")),
+        from_json((p * q).to_json(), R),
+        R.monomial("z", 1200) * p,
+    ] + p.coeffs_in("z")
+    for r in results:
+        terms = r.terms
+        assert type(terms) is dict
+        for exp, c in terms.items():
+            assert type(exp) is tuple and len(exp) == len(r.ring.names)
+            assert all(type(e) is int and e >= 0 for e in exp)
+            assert type(c) is int and c != 0
+        assert r.terms is terms  # built once, then cached
+        assert r == r.ring.from_terms(terms)
+
+
+def test_from_json_checks_each_term_once():
+    def poly(*terms):
+        return {"vars": ["x", "y", "z"], "terms": [{"exp": e, "coeff": c} for e, c in terms]}
+
+    # repeated exponents are summed; a sum of zero leaves no term
+    assert from_json(poly(([1, 0, 2], "3"), ([1, 0, 2], "-1"), ([0, 0, 0], "7")), R) == (
+        2 * X * Z**2 + 7
+    )
+    assert from_json(poly(([2, 0, 0], "5"), ([2, 0, 0], "-5")), R).is_zero()
+    for exp in ([1, 0], [1, 0, 2, 0], [0, -1, 0], ["a", 0, 0]):
+        with pytest.raises(ValueError):
+            from_json(poly(([0, 0, 0], "1"), (exp, "2")), R)
+    for coeff in ("x", "1.5", ""):
+        with pytest.raises(ValueError):
+            from_json(poly(([0, 0, 1], coeff)), R)
+    # exponents past ten bits widen the fields and read back unchanged
+    wide = X**1500 * Y - 3 * Z**70000 + 2
+    assert from_json(wide.to_json(), R) == wide
+    assert from_json(json.loads(json.dumps(wide.to_json()))).terms == wide.terms

@@ -115,6 +115,16 @@ def test_canonical_form_is_class_invariant(rng):
         assert canonical_form(word_inverse(u)) == canonical_form(u)
 
 
+def test_canonical_form_matches_brute_force(rng):
+    # exponents +-1 repeat the least syllable often; +-1..+-12 rarely
+    for max_exp in (1, 12):
+        for _ in range(300):
+            word = random_word(rng, max_syllables=14, max_exp=max_exp)
+            w = cyclic_reduce(word)
+            rotations = [u[i:] + u[:i] for u in (w, word_inverse(w)) for i in range(len(u))]
+            assert canonical_form(word) == min(rotations, default=()), word
+
+
 def test_numeric_agreement(rng):
     words = [random_word(rng, max_syllables=8, max_exp=3) for _ in range(25)]
     for seed in range(100):
