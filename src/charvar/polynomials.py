@@ -180,28 +180,31 @@ def _variable_index(p):
     return None
 
 
-def _horner(groups, values):
-    """Packed terms of the sum of part * prod(values[i] ** key[i]) over groups.
+def _horner(groups, values, mask):
+    """Packed terms of the sum of part * prod(value ** exponent) over groups.
 
-    groups maps exponent keys to packed term maps, and values are
-    re-iterable packed (key, coefficient) sequences.  Nested Horner: in
-    the first value, with each coefficient the same sum over the
+    groups maps keys to packed term maps; a key holds the exponent of each
+    value in a field mask wide at the value's shift.  values are (shift,
+    re-iterable packed (key, coefficient) sequence) pairs.  Nested Horner:
+    in the first value, with each coefficient the same sum over the
     remaining values, so the running sum is multiplied once per degree
     step and never copied.
     """
     if not groups:
         return {}
     if not values:
-        return groups[()]
+        return groups[0]
+    (s, value), rest = values[0], values[1:]
     by_deg = {}
     for key, part in groups.items():
-        by_deg.setdefault(key[0], {})[key[1:]] = part
+        d = (key >> s) & mask
+        by_deg.setdefault(d, {})[key - (d << s)] = part
     acc = {}
     for d in range(max(by_deg), -1, -1):
         if acc:
-            acc = _packed_product(values[0], acc.items())
+            acc = _packed_product(value, acc.items())
         if d in by_deg:
-            _add_into(acc, _horner(by_deg[d], values[1:]))
+            _add_into(acc, _horner(by_deg[d], rest, mask))
     return acc
 
 
@@ -218,13 +221,13 @@ class Polynomial:
         self.ring = ring
         self._packed = packed
         self._top = top
-        self._w = top.bit_length() if top >= _WIDE else MIN_WIDTH
+        self._w = _width(top)
         self._terms = None
         self._hash = None
 
     @property
     def terms(self):
-        """The term map under exponent tuples, built on first read and cached."""
+        """The term map under exponent tuples, built on first read and cached; read only."""
         terms = self._terms
         if terms is None:
             mask = (1 << self._w) - 1
@@ -492,8 +495,11 @@ class Polynomial:
         w = _width(bound)
         shifts = ring._shifts(w)
         moves = [(s, shifts[j]) for s, j, _ in moves]
-        values = [v._at(w).items() for _, v, _ in expand]
-        expand = [s for s, _, _ in expand]
+        # a field that stays where it is is kept by one mask
+        keep = sum(mask << s for s, t in moves if s == t) if w == self._w else 0
+        moves = [(s, t) for s, t in moves if not (keep >> s) & 1]
+        values = [(s, v._at(w).items()) for s, v, _ in expand]
+        grouped = sum(mask << s for s, _, _ in expand)  # the expanded variables' fields
         groups = {}
         for k, c in src.items():
             for s, v in folds:
@@ -502,16 +508,16 @@ class Polynomial:
                     c *= v**e
             if not c:
                 continue
-            key = 0
+            key = k & keep
             for s, t in moves:
                 key += ((k >> s) & mask) << t
-            part = groups.setdefault(tuple([(k >> s) & mask for s in expand]), {})
+            part = groups.setdefault(k & grouped, {})
             c += part.get(key, 0)
             if c:
                 part[key] = c
             else:
                 del part[key]
-        return Polynomial(ring, _horner(groups, values), bound)
+        return Polynomial(ring, _horner(groups, values, mask), bound)
 
     def cast(self, ring):
         """Inject into another ring containing all occurring variables."""
