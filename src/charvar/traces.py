@@ -393,15 +393,20 @@ _MAT = {
 
 
 def _letter_table(letters):
-    """_MAT as term lists under packed (x, y, c) keys, and the field width.
+    """_MAT as term lists under packed (x, y, c) keys, and an exponent bound.
 
     No entry of a product of `letters` letters has a degree above the
-    table's largest exponent times `letters`, so fields that wide never
-    carry.  Entries are [(key, coeff)] lists; a zero entry is empty.
+    table's largest exponent times `letters`, the bound returned, so
+    fields _width(bound) bits wide, as a RING polynomial with that bound
+    has, never carry.  Entries are [(key, coeff)] lists; a zero entry is
+    empty.
     """
-    polys = {key: [[_ORACLE_RING.zero() + e for e in row] for row in m] for key, m in _MAT.items()}
-    top = max(max(e) for m in polys.values() for row in m for p in row for e in p.terms)
-    w = (top * letters).bit_length()
+    polys = {
+        key: [[e if isinstance(e, Polynomial) else _ORACLE_RING.const(e) for e in row] for row in m]
+        for key, m in _MAT.items()
+    }
+    bound = letters * max(max(e) for m in polys.values() for row in m for p in row for e in p.terms)
+    w = _width(bound)
     shifts = (2 * w, w, 0)
     table = {
         key: [
@@ -410,7 +415,7 @@ def _letter_table(letters):
         ]
         for key, m in polys.items()
     }
-    return table, w
+    return table, bound
 
 
 def _column(m0, m1, e0, e1):
@@ -447,11 +452,13 @@ def trace_poly_oracle(word):
     c^(k+n) goes out with z^k, and lead c^n z^k = lead (c^2 + 1)^k c^(n-k)
     leaves num as binomial(k, j) lead at c-degree n - k + 2j.  A residue
     with k outside [0, n] is not symmetric, which would signal an
-    arithmetic bug, and raises ArithmeticError.
+    arithmetic bug, and raises ArithmeticError.  The (x, y) fields are
+    laid out as in a RING polynomial of the table's bound, so z^k takes
+    the place of the c field and the result needs no repacking.
     """
     word = free_reduce(word)
     n = sum(abs(e) for g, e in word if g == "b")
-    table, w = _letter_table(sum(abs(e) for _, e in word))
+    table, bound = _letter_table(sum(abs(e) for _, e in word))
     rows = [({0: 1}, {}), ({}, {0: 1})]
     for gen, exp in word:
         (l00, l01), (l10, l11) = table[(gen, 1 if exp > 0 else -1)]
@@ -459,10 +466,10 @@ def trace_poly_oracle(word):
             rows = [(_column(m0, m1, l00, l10), _column(m0, m1, l01, l11)) for m0, m1 in rows]
     num = _column(rows[0][0], rows[1][1], [(0, 1)], [(0, 1)])  # the trace
 
-    mask = (1 << w) - 1
-    by_c = {}
+    mask = (1 << _width(bound)) - 1
+    by_c = {}  # c-degree -> {packed (x, y) part: coefficient}
     for k, c in num.items():
-        by_c.setdefault(k & mask, {})[(k >> 2 * w, (k >> w) & mask)] = c
+        by_c.setdefault(k & mask, {})[k & ~mask] = c
     terms = {}
     while by_c:
         d = max(by_c)
@@ -470,8 +477,8 @@ def trace_poly_oracle(word):
         k = d - n
         if not 0 <= k <= n:
             raise ArithmeticError("asymmetric residue in c: degree %d over c^%d" % (d, n))
-        for (ex, ey), c in lead.items():
-            terms[(ex, ey, k)] = c
+        for key, c in lead.items():
+            terms[key | k] = c
         for j in range(k):
             b = comb(k, j)
             dj = n - k + 2 * j
@@ -485,7 +492,7 @@ def trace_poly_oracle(word):
                     del row[key]
             if not row:
                 del by_c[dj]
-    return RING._from_exponents(terms)
+    return Polynomial(RING, terms, bound)
 
 
 # -- identity suite -------------------------------------------------------------
