@@ -145,18 +145,26 @@ def char_poly_variants(p, m):
     Returns (P_{a w a^-1 b^-1} - P_{w b^-1}, P_{a^-1 w a b^-1} - P_{w b^-1}),
     the first the memoised char_poly_twobridge(p, m).full.  The two
     generate the same principal ideal up to sign for the links in this
-    catalog; the verification layer asserts that.
+    catalog; the verification layer asserts that.  A Riley word is a
+    palindrome, so the second left word is a rotation of the reverse of
+    the first, and the trace memo serves its polynomial; the verification
+    layer also checks the variant by an exact fingerprint mod a prime.
     """
     full = char_poly_twobridge(p, m).full
     return full, _relator_difference(riley_word(p, m), conjugate_by_inverse=True)
 
 
-def _relator_difference(w, conjugate_by_inverse):
+def relator_words(w, conjugate_by_inverse=False):
+    """(a w a^-1 b^-1, w b^-1), or (a^-1 w a b^-1, w b^-1) for the conjugate variant."""
     if conjugate_by_inverse:
         left = word_concat((("a", -1),), w, (("a", 1), ("b", -1)))
     else:
         left = word_concat((("a", 1),), w, (("a", -1), ("b", -1)))
-    right = word_concat(w, (("b", -1),))
+    return left, word_concat(w, (("b", -1),))
+
+
+def _relator_difference(w, conjugate_by_inverse):
+    left, right = relator_words(w, conjugate_by_inverse)
     return trace_poly(left) - trace_poly(right)
 
 

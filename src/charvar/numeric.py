@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import links
-from .traces import trace_poly, word_concat
+from .traces import trace_poly
 
 _DET_FLOOR = 1e-6
 
@@ -83,9 +83,8 @@ def relator_residual(link, pair):
     spec = links.as_two_bridge(link)
     a = pair[0].astype(np.clongdouble)
     b = pair[1].astype(np.clongdouble)
-    w = links.riley_word(spec.p, spec.m)
-    left = word_matrix(word_concat((("a", 1),), w, (("a", -1), ("b", -1))), a, b)
-    right = word_matrix(word_concat(w, (("b", -1),)), a, b)
+    left, right = (word_matrix(u, a, b)
+                   for u in links.relator_words(links.riley_word(spec.p, spec.m)))
     full = links.char_poly_twobridge(spec.p, spec.m).full
     point = {
         "x": np.trace(a),

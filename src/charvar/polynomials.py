@@ -553,6 +553,28 @@ class Polynomial:
             total = total + term
         return total
 
+    def evaluate_mod(self, values, modulus):
+        """The value mod modulus at ints, one per variable in ring order.
+
+        Reads the packed keys through one table of powers per variable,
+        so no exponent tuple is built; the sum is reduced once, at the end.
+        """
+        if len(values) != len(self.ring.names):
+            raise ValueError("need %d values, got %d" % (len(self.ring.names), len(values)))
+        mask = (1 << self._w) - 1
+        fields = []
+        for shift, v in zip(self.ring._shifts(self._w), values):
+            powers = [1]
+            for _ in range(self._top):
+                powers.append(powers[-1] * v % modulus)
+            fields.append((shift, powers))
+        total = 0
+        for k, c in self._packed.items():
+            for shift, powers in fields:
+                c *= powers[(k >> shift) & mask]
+            total += c
+        return total % modulus
+
     # -- divisibility -------------------------------------------------------
 
     def div_exact(self, q):

@@ -20,6 +20,15 @@ make of the group ring (Horowitz, CPAM 1972; Goldman 2009): each
 syllable g^e is S_{e-1}(tr g) g - S_{e-2}(tr g), and the trace of
 p0 + p1 a + p2 b + p3 ab is 2 p0 + x p1 + y p2 + z p3.
 
+The memo holds one polynomial per symmetry class.  Its key,
+canonical_form, covers rotations (conjugation) and the inverse.  A
+word with every exponent negated has the same polynomial too, since
+A^-1, B^-1 and A^-1 B^-1 = (BA)^-1 have traces x, y and z, so a computed
+value is stored under that twin key as well.  The reverse of a word is
+the inverse of its negation, so it is served from the memo: for a
+palindrome w, such as a Riley word, a^-1 w a b^-1 is a rotation of the
+reverse of a w a^-1 b^-1.
+
 trace_poly_oracle recomputes the same polynomial by multiplying explicit
 SL2 matrices, with every b-letter scaled by c so that all entries are
 polynomials in x, y, c, and rewriting the trace in z = c + 1/c.  It works
@@ -222,13 +231,19 @@ _memo = {}
 
 
 def trace_poly(word):
-    """The unique trace polynomial P_word in x, y, z."""
+    """The unique trace polynomial P_word in x, y, z.
+
+    A miss also looks up the twin key, the canonical form of the word
+    with every exponent negated, and a computed value is stored under
+    both keys.
+    """
     key = canonical_form(word)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    value = _compute(key)
-    _memo[key] = value
+    value = _memo.get(key)
+    if value is None:
+        twin = canonical_form([(gen, -exp) for gen, exp in key])
+        value = _memo.get(twin)
+        if value is None:
+            value = _memo[key] = _memo[twin] = _compute(key)
     return value
 
 

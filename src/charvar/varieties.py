@@ -17,10 +17,15 @@ triangular moves, the x <-> x +- y rotation) construct the transformed
 polynomial explicitly, verify the defining substitution identity, check
 the gcd precondition that makes the chain valid, and record every step
 in the diagnostic.
+
+A two-bridge report also checks the conjugate-variant polynomial,
+which the trace memo serves, against 2x2 matrix products mod the prime
+2^61 - 1 at one seeded pair (relator_fingerprint).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -305,11 +310,71 @@ def _match_sign(full, prod):
     return 0
 
 
+# -- the exact fingerprint -----------------------------------------------------
+
+FINGERPRINT_PRIME = (1 << 61) - 1
+FINGERPRINT_SEED = 2014
+
+
+def _mul_mod(m, n):
+    """The product of two 2x2 matrices (a, b, c, d) = [[a, b], [c, d]] mod the prime."""
+    a, b, c, d = m
+    e, f, g, h = n
+    p = FINGERPRINT_PRIME
+    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+
+@cache
+def _fingerprint_pair():
+    """A seeded pair in SL2(F_P) as {letter: matrix}, and its (tr A, tr B, tr AB).
+
+    Built on first use.  Each matrix draws a != 0, b and c, and solves
+    a d - b c = 1 for d.
+    """
+    rng = random.Random(FINGERPRINT_SEED)
+    p = FINGERPRINT_PRIME
+
+    def draw():
+        a, b, c = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
+        return a, b, c, (1 + b * c) * pow(a, -1, p) % p
+
+    a, b = draw(), draw()
+    letters = {("a", 1): a, ("b", 1): b}
+    for gen, (m00, m01, m10, m11) in (("a", a), ("b", b)):
+        letters[(gen, -1)] = (m11, -m01 % p, -m10 % p, m00)
+    ab = _mul_mod(a, b)
+    return letters, ((a[0] + a[3]) % p, (b[0] + b[3]) % p, (ab[0] + ab[3]) % p)
+
+
+def _trace_mod(word, letters):
+    m = (1, 0, 0, 1)
+    for gen, exp in word:
+        g = letters[(gen, 1 if exp > 0 else -1)]
+        for _ in range(abs(exp)):
+            m = _mul_mod(m, g)
+    return m[0] + m[3]
+
+
+def relator_fingerprint(left, right, poly):
+    """Whether poly = P_left - P_right holds mod P at the seeded pair, exactly.
+
+    tr left - tr right comes from 2x2 integer products mod the prime
+    P = 2^61 - 1, and poly is evaluated mod P at (tr A, tr B, tr AB).
+    Neither side touches the trace engine, so this checks a polynomial
+    the memo served.  A wrong poly agrees at a random pair with
+    probability of order deg(poly) / P (Schwartz-Zippel).
+    """
+    letters, point = _fingerprint_pair()
+    difference = _trace_mod(left, letters) - _trace_mod(right, letters)
+    return difference % FINGERPRINT_PRIME == poly.evaluate_mod(point, FINGERPRINT_PRIME)
+
+
 def _report(link, factors, full, variant=None, notes=()):
     """Product and sign check of a factor list against full, as a report.
 
-    variant, when given, is the conjugate-variant polynomial; it must
-    match the product up to sign as well.
+    variant, when given, is (the conjugate-variant polynomial, whether
+    it passed its fingerprint); it must pass, and match the product up
+    to sign as well.
     """
     prod = RING.one()
     # the surface factor, first and smallest, is multiplied in last: it
@@ -318,9 +383,14 @@ def _report(link, factors, full, variant=None, notes=()):
         prod = prod * f.poly
     sign = _match_sign(full, prod)
     notes = list(notes)
-    if variant is not None and _match_sign(variant, prod) == 0:
-        notes.append("conjugate-variant polynomial does not match the closed form")
-        sign = 0
+    if variant is not None:
+        poly, fingerprint_ok = variant
+        if _match_sign(poly, prod) == 0:
+            notes.append("conjugate-variant polynomial does not match the closed form")
+            sign = 0
+        if not fingerprint_ok:
+            notes.append("conjugate-variant polynomial fails its mod-P fingerprint")
+            sign = 0
     return ComponentReport(
         link=link,
         factors=factors,
@@ -603,7 +673,7 @@ def verify_twobridge3(p):
     res, rotated = certify_rotated_even(q)
     details = ["irreducible in x, y^2 after rotation"] + res.details
     factors.append(_explicit_factor(q, SquareObstruction("y"), CertResult(res.ok, details)))
-    return _report(link, factors, *links.char_poly_variants(p, 3))
+    return _two_bridge_report(link, factors, p, 3)
 
 
 def verify_twisted_whitehead(k):
@@ -619,8 +689,14 @@ def verify_twisted_whitehead(k):
         univ = cheb_diff(n)
     factors.append(_cheb_family_factor(univ, GAMMA))
     factors.append(_certified_whitehead_q(k, n, q))
-    p, m = 2 * k + 2, 2 * k + 1
-    return _report(link, factors, *links.char_poly_variants(p, m))
+    return _two_bridge_report(link, factors, 2 * k + 2, 2 * k + 1)
+
+
+def _two_bridge_report(link, factors, p, m):
+    """_report of b(2p, m)'s factors against both variants, the second fingerprinted."""
+    full, variant = links.char_poly_variants(p, m)
+    words = links.relator_words(links.riley_word(p, m), conjugate_by_inverse=True)
+    return _report(link, factors, full, (variant, relator_fingerprint(*words, variant)))
 
 
 def _certified_whitehead_q(k, n, q):

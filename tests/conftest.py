@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from charvar import links
 from charvar.polynomials import PolyRing
-from charvar.traces import free_reduce
+from charvar.traces import RING, X, free_reduce
 
 
 @pytest.fixture
@@ -37,3 +38,22 @@ def random_word(rng, max_syllables=12, max_exp=4):
         out.append((gen, e))
         gen = "b" if gen == "a" else "a"
     return free_reduce(tuple(out))
+
+
+# planted faults in the conjugate variant: each is caught by the
+# fingerprint on its own, whatever the product comparison says
+PLANTED_FAULTS = {
+    "plus one": lambda v: v + 1,
+    "times x": lambda v: v * X,
+    "one coefficient": lambda v: v + RING.from_terms({max(v.terms): 1}),
+}
+
+
+def plant_variant_fault(monkeypatch, fault):
+    variants = links.char_poly_variants
+
+    def planted(p, m):
+        full, variant = variants(p, m)
+        return full, fault(variant)
+
+    monkeypatch.setattr(links, "char_poly_variants", planted)

@@ -14,6 +14,8 @@ from charvar.links import REDUCIBLE_SURFACE
 from charvar.polynomials import from_json
 from charvar.traces import GAMMA, X, Y, Z
 
+from conftest import PLANTED_FAULTS, plant_variant_fault
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -502,3 +504,11 @@ def test_verify_says_when_the_seed_is_unused(capsys):
     code, out, err = run(capsys, "verify", "2", "--p", "8..10", "--seed", "3", "--format", "json")
     assert code == 0 and err == ""
     assert ["numeric_residual" in row for row in json.loads(out)] == [True, False]
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS.values(), ids=list(PLANTED_FAULTS))
+def test_verify_exits_1_on_a_planted_variant_fault(monkeypatch, capsys, fault):
+    plant_variant_fault(monkeypatch, fault)
+    code, out, _ = run(capsys, "verify", "2", "--p", "10..10")
+    assert code == 1
+    assert "product=False" in out and "FAIL" in out

@@ -137,6 +137,20 @@ def test_evaluate_keeps_input_arithmetic():
     assert type(half) is Fraction and half == Fraction(-3, 4)
 
 
+def test_evaluate_mod_matches_exact_evaluation(rng):
+    p = (1 << 61) - 1
+    for ring in (R, T_RING):
+        for _ in range(100):
+            poly = random_poly(rng, ring, max_terms=6, max_deg=8, max_coeff=10**30)
+            values = [rng.randrange(-p, p) for _ in ring.names]
+            assert poly.evaluate_mod(values, p) == poly.evaluate(dict(zip(ring.names, values))) % p
+    # exponents past 1023 widen the packed fields
+    wide = X**2000 * Y - 7 * Z**1500 + 3
+    assert wide.evaluate_mod((2, 3, 5), 101) == (2**2000 * 3 - 7 * 5**1500 + 3) % 101
+    with pytest.raises(ValueError):
+        (X + Y).evaluate_mod((1, 2), p)
+
+
 def test_json_round_trip(rng):
     gamma = X**2 + Y**2 + Z**2 - X * Y * Z - 2
     blob = json.dumps(gamma.to_json())

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from charvar import cli, traces
-from charvar.links import riley_word
+from charvar.links import relator_words, riley_word
 from charvar.numeric import random_rep, trace_agreement, traces_of, word_matrix
 from charvar.traces import (
     GAMMA,
@@ -151,20 +151,8 @@ def test_oracle_matches_engine_on_relator_words():
     specs = [(p, 3) for p in range(4, 23) if p % 3]
     specs += [(2 * k + 2, 2 * k + 1) for k in range(7)]
     for p, m in specs:
-        w = riley_word(p, m)
-        for u in (
-            word_concat((("a", 1),), w, (("a", -1), ("b", -1))),
-            word_concat(w, (("b", -1),)),
-        ):
+        for u in relator_words(riley_word(p, m)):
             assert trace_poly(u) == trace_poly_oracle(u), (p, m, u)
-
-
-def _relator_words(p, m):
-    w = riley_word(p, m)
-    return (
-        word_concat((("a", 1),), w, (("a", -1), ("b", -1))),
-        word_concat(w, (("b", -1),)),
-    )
 
 
 def test_oracle_matches_engine_across_field_widths():
@@ -183,7 +171,7 @@ def test_oracle_matches_engine_on_long_relator_words():
     specs += [(2 * k + 2, 2 * k + 1) for k in range(7, 13)]
     specs += [(38, 21), (44, 19), (50, 27)]
     for p, m in specs:
-        for u in _relator_words(p, m):
+        for u in relator_words(riley_word(p, m)):
             assert trace_poly(u) == trace_poly_oracle(u), (p, m, u)
 
 
@@ -210,7 +198,7 @@ def test_oracle_exact_at_integer_matrices():
     rng = random.Random(38)
     pairs = [(_int_sl2(rng), _int_sl2(rng)) for _ in range(3)]
     for p, m in ((38, 21), (44, 19), (50, 27)):
-        for u in _relator_words(p, m):
+        for u in relator_words(riley_word(p, m)):
             poly = trace_poly_oracle(u)
             for a, b in pairs:
                 gens = {
@@ -286,9 +274,7 @@ def test_find_block_matches_reference(rng):
     specs = [(p, 3) for p in range(4, 36) if p % 3]
     specs += [(2 * k + 2, 2 * k + 1) for k in range(13)]
     for p, m in specs:
-        w = riley_word(p, m)
-        words.append(canonical_form(word_concat((("a", 1),), w, (("a", -1), ("b", -1)))))
-        words.append(canonical_form(word_concat(w, (("b", -1),))))
+        words.extend(canonical_form(u) for u in relator_words(riley_word(p, m)))
     found = 0
     for u in words:
         expected = _find_block_reference(u)
@@ -367,3 +353,43 @@ def test_irregular_words_of_weight_100_are_time_bounded(monkeypatch):
         ab = _int_mul(a, b)
         point = {"x": a[0][0] + a[1][1], "y": b[0][0] + b[1][1], "z": ab[0][0] + ab[1][1]}
         assert poly.evaluate(point) == prod[0][0] + prod[1][1], (seed, max_exp)
+
+
+def _negated(word):
+    return tuple((gen, -exp) for gen, exp in word)
+
+
+def test_negated_and_reversed_words_share_one_polynomial(monkeypatch):
+    # tr u(A^-1, B^-1) = tr u(A, B) at every pair, and the reverse of u is
+    # the inverse of its negation; the oracle sees three different words,
+    # and the engine, with a fresh memo each time, computes each one
+    rng = random.Random(901)
+    for _ in range(100):
+        w = random_word(rng)
+        words = (w, _negated(w), tuple(reversed(w)))
+        oracle = trace_poly_oracle(w)
+        for u in words:
+            assert trace_poly_oracle(u) == oracle, u
+            monkeypatch.setattr(traces, "_memo", {})
+            assert trace_poly(u) == oracle, u
+
+
+def test_reverse_and_negation_are_served_from_the_memo(monkeypatch):
+    computed = []
+    compute = traces._compute
+    monkeypatch.setattr(traces, "_compute", lambda u: computed.append(u) or compute(u))
+    for w in [parse_word("a b^2 A^3 B")] + list(relator_words(riley_word(11, 3))):
+        monkeypatch.setattr(traces, "_memo", {})
+        computed.clear()
+        value = trace_poly(w)
+        top = len(computed)
+        assert trace_poly(tuple(reversed(w))) is value
+        assert trace_poly(_negated(w)) is value
+        assert len(computed) == top, w
+    # a Riley word is a palindrome, so the conjugate variant's left word
+    # a^-1 w a b^-1 is a rotation of the reverse of a w a^-1 b^-1
+    w = riley_word(11, 3)
+    assert w == tuple(reversed(w))
+    left, _ = relator_words(w)
+    variant_left, _ = relator_words(w, conjugate_by_inverse=True)
+    assert canonical_form(variant_left) == canonical_form(tuple(reversed(left)))

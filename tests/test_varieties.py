@@ -15,6 +15,7 @@ from charvar.varieties import (
     count_components_pretzel,
     pretzel_table_count,
     reducible_surface_check,
+    relator_fingerprint,
     verify_twisted_whitehead,
     verify_twobridge3,
 )
@@ -27,6 +28,8 @@ from charvar.varieties import (
     _surface_factor,
     _triangular_descent,
 )
+
+from conftest import PLANTED_FAULTS, plant_variant_fault
 
 
 def test_certificate_linear_pass():
@@ -299,3 +302,25 @@ def test_surface_factor_is_fresh_each_time():
     assert a.cert_ok and b.cert_ok and a.details == b.details
     a.details.append("changed")
     assert _surface_factor().details == b.details
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS.values(), ids=list(PLANTED_FAULTS))
+def test_planted_variant_faults_fail_the_fingerprint(monkeypatch, fault):
+    plant_variant_fault(monkeypatch, fault)
+    for rep in (verify_twobridge3(5), verify_twisted_whitehead(2)):
+        assert not rep.product_check and not rep.ok()
+        assert "conjugate-variant polynomial fails its mod-P fingerprint" in rep.notes
+
+
+def test_correct_variants_pass_the_fingerprint():
+    # every b(2p, 3) and W_k the CLI accepts, and the original relator
+    # polynomial too
+    specs = [(p, 3) for p in range(4, 38) if p % 3]
+    specs += [(2 * k + 2, 2 * k + 1) for k in range(25)]
+    for p, m in specs:
+        full, variant = links.char_poly_variants(p, m)
+        w = links.riley_word(p, m)
+        assert relator_fingerprint(*links.relator_words(w, conjugate_by_inverse=True), variant)
+        assert relator_fingerprint(*links.relator_words(w), full)
+        for fault in PLANTED_FAULTS.values():
+            assert not relator_fingerprint(*links.relator_words(w), fault(full)), (p, m)
