@@ -64,7 +64,8 @@ def cached_char_poly(p, m, cache_dir=None):
     An entry from another engine version is recomputed; one that cannot
     be parsed, whose recorded (p, m) is not its key, or whose polynomial
     is not in the variables (x, y, z), raises CacheError.  Nothing else
-    about a hit is checked here: only `verify` compares it, up to sign,
+    about a hit is checked here: `charpoly` checks it, up to sign, by the
+    relator's mod-P fingerprint, and `verify` compares it, up to sign,
     with the word polynomial its report has matched to the certified
     factors.  Entries are written to a temporary file and renamed into
     place, never left half-written.
@@ -252,6 +253,13 @@ def cmd_charpoly(args):
     else:
         tb = links.as_two_bridge(spec)
         poly = cached_char_poly(tb.p, tb.m, cache_dir)
+        if cache_dir is not None:
+            # a hit is returned as read; the relator's fingerprint checks it, up to sign
+            words = links.relator_words(links.riley_word(tb.p, tb.m))
+            if not (varieties.relator_fingerprint(*words, poly)
+                    or varieties.relator_fingerprint(*words, -poly)):
+                raise CacheError("cache entry %s fails its mod-P fingerprint"
+                                 % _cache_path(cache_dir, tb.p, tb.m))
     _emit_poly(poly, args.format)
     return 0
 

@@ -156,17 +156,22 @@ def _add_into(acc, terms):
             del acc[e]
 
 
+def _sub_into(acc, terms):
+    """Subtract a term map from acc in place, dropping cancelled keys."""
+    get = acc.get
+    for e, c in terms.items():
+        s = get(e, 0) - c
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+
+
 def _difference(p, q):
     """p - q, subtracting q's terms from a copy of p's."""
     a, b, top = p._common(q)
     acc = dict(a)
-    get = acc.get
-    for k, c in b.items():
-        s = get(k, 0) - c
-        if s:
-            acc[k] = s
-        else:
-            del acc[k]
+    _sub_into(acc, b)
     return Polynomial(p.ring, acc, top)
 
 

@@ -125,6 +125,37 @@ def test_cache_round_trip_and_corruption(tmp_path, capsys):
     assert "corrupt" in err
 
 
+@pytest.mark.parametrize("link, name", [("twobridge:5,3", "twobridge_5_3.json"),
+                                        ("whitehead:3", "twobridge_8_7.json")])
+def test_charpoly_checks_cache_hits_by_fingerprint(tmp_path, capsys, link, name):
+    cache = str(tmp_path / "cache")
+    entry = os.path.join(cache, name)
+    code, miss, _ = run(capsys, "charpoly", link, "--format", "json", "--cache-dir", cache)
+    assert code == 0
+    # an honest hit prints the miss's bytes
+    code, hit, _ = run(capsys, "charpoly", link, "--format", "json", "--cache-dir", cache)
+    assert code == 0 and hit == miss
+    with open(entry) as fh:
+        honest = json.load(fh)
+    full = from_json(honest["full"])
+
+    def rewrite(terms):
+        with open(entry, "w") as fh:
+            json.dump(dict(honest, full=dict(honest["full"], terms=terms)), fh)
+
+    # a negated entry is the same polynomial up to sign, printed as found
+    rewrite((-full).to_json()["terms"])
+    code, out, _ = run(capsys, "charpoly", link, "--cache-dir", cache)
+    assert code == 0 and out.strip() == str(-full)
+    # one changed coefficient fails the fingerprint: exit 1, nothing printed
+    terms = [dict(t) for t in honest["full"]["terms"]]
+    terms[-1]["coeff"] = str(int(terms[-1]["coeff"]) + 1)
+    rewrite(terms)
+    code, out, err = run(capsys, "charpoly", link, "--format", "json", "--cache-dir", cache)
+    assert code == 1 and out == ""
+    assert "fingerprint" in err
+
+
 def test_no_cache_flag_ignores_corruption(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     os.makedirs(cache)
