@@ -40,7 +40,7 @@ MAX_VERIFY_POINTS = 10000
 # The slowest input at each limit on a 2-CPU VM: components pretzel:-5,-5
 # 0.4 s (pretzel:-6,-6 1.0 s, pretzel:-7,-7 3.9 s); charpoly twobridge:37,31
 # 0.35 s (the polynomials of twobridge:38,21, 44,19 and 50,27 0.1-0.35 s);
-# components whitehead:24 0.7 s.  A `verify` range takes the sum of its points.
+# components whitehead:24 0.4-0.5 s.  A `verify` range takes the sum of its points.
 # MAX_TWOBRIDGE_P stays at 37 until every odd m for larger p has been timed.
 MAX_PRETZEL = 5  # max(|m|, |n|) of pretzel:m,n
 MAX_TWOBRIDGE_P = 37  # p of twobridge:p,m and of verify 2's b(2p, 3)

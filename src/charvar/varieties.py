@@ -21,6 +21,12 @@ in the diagnostic.
 A two-bridge report also checks the conjugate-variant polynomial,
 which the trace memo serves, against 2x2 matrix products mod the prime
 2^61 - 1 at one seeded pair (relator_fingerprint).
+
+A Chebyshev family factor u S_k(inner) - v S_{k-1}(inner) enters the
+exact product as the same combination of u R and v R, R the product of
+the other factors, so its own polynomial is not a multiplicand; that
+polynomial is checked instead mod P at the same pair, against the
+univariate u S_k - v S_{k-1} at inner's value (_family_fingerprint).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from . import links
-from .chebyshev import cheb, cheb_at, cheb_comb, cheb_diff, distinct_root_count
+from .chebyshev import cheb, cheb_at, cheb_comb, distinct_root_count
 from .links import REDUCIBLE_SURFACE
 from .polynomials import PolyRing, is_perfect_square, poly_gcd
 from .traces import GAMMA, RING, X, Y, Z
@@ -168,6 +174,7 @@ class FactorCertificate:
     details: list = field(default_factory=list)
     univariate: object = None  # cheb_linear_family only
     inner: object = None
+    comb: tuple = None  # cheb_linear_family: (k, u, v), univariate = u S_k - v S_{k-1}
 
     def to_json(self):
         out = {
@@ -237,44 +244,53 @@ def _shift_family_note(inner):
 
 @cache
 def _surface_discriminant():
-    """The x-discriminant of gamma - 2 and whether it is a non-square (run once)."""
+    """Whether the x-discriminant of gamma - 2 is a non-square, and its detail line (run once)."""
     disc = (Y * Z) ** 2 - 4 * (Y**2 + Z**2 - 4)
-    return disc, not _slice_is_square_up_to_constant(disc)
+    return (not _slice_is_square_up_to_constant(disc),
+            "monic quadratic in x with non-square discriminant %s" % disc)
 
 
 def _surface_factor():
     # gamma - 2 is the delta = -4 member of the quadric family; certify the
     # instance as a monic quadratic in x whose discriminant is not a square
-    disc, ok = _surface_discriminant()
+    ok, detail = _surface_discriminant()
     return FactorCertificate(
         kind="reducible_surface",
         poly=REDUCIBLE_SURFACE,
         components=1,
         cert=DegenerateExplicit("reducible characters form the surface gamma - 2 = 0"),
         cert_ok=ok,
-        details=[
-            "monic quadratic in x with non-square discriminant %s" % disc,
-        ],
+        details=[detail],
     )
 
 
-def _cheb_family_factor(univ, inner):
-    """A Chebyshev-indexed family of parallel irreducible level sets."""
+@cache
+def _univariate(k, u, v):
+    """u S_k(t) - v S_{k-1}(t), memoized like the S_k."""
+    return u * cheb(k) - v * cheb(k - 1)
+
+
+def _cheb_family_factor(k, u, v, inner, poly=None):
+    """A Chebyshev-indexed family of parallel irreducible level sets.
+
+    The family polynomial is univ(inner) with univ = u S_k - v S_{k-1};
+    poly, when the caller has built it, is that polynomial.
+    """
     note = _shift_family_note(inner)
     if note is None:
         raise ValueError("inner polynomial %s is not a recognized family" % inner)
-    v = univ.variables()
-    count = distinct_root_count(univ) if v else 0
-    deg = univ.degree_in(v[0]) if v else 0
+    univ = _univariate(k, u, v)
+    occurring = univ.variables()
+    count = distinct_root_count(univ) if occurring else 0
+    deg = univ.degree_in(occurring[0]) if occurring else 0
     if count != deg:
         raise ArithmeticError(
             "family polynomial %s is not squarefree (%d distinct roots, degree %d)"
             % (univ, count, deg)
         )
-    composed = univ.map_values({"t": inner}, inner.ring)
     return FactorCertificate(
         kind="cheb_linear_family",
-        poly=composed,
+        poly=cheb_comb(k, inner, u, v) if poly is None else poly,
         components=count,
         cert=DegenerateExplicit(note),
         cert_ok=True,
@@ -284,6 +300,7 @@ def _cheb_family_factor(univ, inner):
         ],
         univariate=univ,
         inner=inner,
+        comb=(k, u, v),
     )
 
 
@@ -355,6 +372,18 @@ def _trace_mod(word, letters):
     return m[0] + m[3]
 
 
+def _family_fingerprint(f):
+    """Whether a family factor's poly is its univariate at its inner, mod P at the seeded pair.
+
+    The univariate comes from the S_k memo and is evaluated at inner's
+    value, so neither side touches the poly's cheb_comb or closed form.
+    """
+    _, point = _fingerprint_pair()
+    at_inner = f.inner.evaluate_mod(point, FINGERPRINT_PRIME)
+    return (f.poly.evaluate_mod(point, FINGERPRINT_PRIME)
+            == f.univariate.evaluate_mod((at_inner,), FINGERPRINT_PRIME))
+
+
 def relator_fingerprint(left, right, poly):
     """Whether poly = P_left - P_right holds mod P at the seeded pair, exactly.
 
@@ -372,6 +401,12 @@ def relator_fingerprint(left, right, poly):
 def _report(link, factors, full, variant=None, notes=()):
     """Product and sign check of a factor list against full, as a report.
 
+    The exact product multiplies the factor polynomials, except that each
+    Chebyshev family factor u S_k(inner) - v S_{k-1}(inner) enters as
+    cheb_comb(k, inner, u R, v R), R the product so far: products by
+    the small inner instead of by the factor.  The factor's own
+    polynomial is checked instead, by _family_fingerprint.
+
     variant, when given, is (the conjugate-variant polynomial, whether
     it passed its fingerprint); it must pass, and match the product up
     to sign as well.
@@ -380,9 +415,17 @@ def _report(link, factors, full, variant=None, notes=()):
     # the surface factor, first and smallest, is multiplied in last: it
     # then meets one large operand instead of two
     for f in reversed(factors):
-        prod = prod * f.poly
+        if f.comb is None:
+            prod = prod * f.poly
+    for f in factors:
+        if f.comb is not None:
+            k, u, v = f.comb
+            prod = cheb_comb(k, f.inner, prod if u else 0, prod if v else 0)
     sign = _match_sign(full, prod)
     notes = list(notes)
+    if not all(_family_fingerprint(f) for f in factors if f.comb is not None):
+        notes.append("Chebyshev family factor fails its mod-P fingerprint")
+        sign = 0
     if variant is not None:
         poly, fingerprint_ok = variant
         if _match_sign(poly, prod) == 0:
@@ -611,16 +654,14 @@ def count_components_pretzel(m, n):
     factors = [_surface_factor()]
     notes = []
     if m == 0:
-        univ = cheb(n) if n >= 0 else cheb(-(n + 2))
-        factors.append(_cheb_family_factor(univ, X * Z - Y))
+        factors.append(_cheb_family_factor(n if n >= 0 else -(n + 2), 1, 0, X * Z - Y))
         notes.append("nonabelian part splits into Chebyshev level sets of x z - y")
     elif n == 0:
-        univ = cheb_diff(m) if m >= 0 else cheb_diff(-m - 1)
-        factors.append(_cheb_family_factor(univ, links.pretzel_beta()))
+        factors.append(_cheb_family_factor(m if m >= 0 else -m - 1, 1, 1, links.pretzel_beta()))
         notes.append("nonabelian part splits into level sets of x y z + 2 - y^2 - z^2")
     elif n == -1:
-        univ = cheb(m - 1) if m >= 1 else cheb(-m - 1)
-        factors.append(_cheb_family_factor(univ, links.pretzel_beta()))
+        factors.append(_cheb_family_factor(m - 1 if m >= 1 else -m - 1, 1, 0,
+                                           links.pretzel_beta()))
         r = _pretzel_R(m)
         res = certify_pretzel_extra_twist(m, r)
         factors.append(_explicit_factor(r, SquareObstruction("z"), res))
@@ -681,13 +722,10 @@ def verify_twisted_whitehead(k):
     link = links.TwistedWhitehead(k)
     surface, cheb_factor, q = links.twisted_whitehead_factors(k)
     factors = [_surface_factor()]
-    if k % 2:
-        n = (k + 1) // 2
-        univ = cheb(n - 1)
-    else:
-        n = k // 2
-        univ = cheb_diff(n)
-    factors.append(_cheb_family_factor(univ, GAMMA))
+    # the Chebyshev factor is S_{n-1}(gamma) for k = 2n - 1, (S_n - S_{n-1})(gamma) for k = 2n
+    n = (k + 1) // 2
+    comb = (n - 1, 1, 0) if k % 2 else (n, 1, 1)
+    factors.append(_cheb_family_factor(*comb, GAMMA, cheb_factor))
     factors.append(_certified_whitehead_q(k, n, q))
     return _two_bridge_report(link, factors, 2 * k + 2, 2 * k + 1)
 

@@ -1,10 +1,11 @@
 import random
+from functools import partial
 
 import pytest
 
-from charvar import links
+from charvar import links, varieties
 from charvar.polynomials import PolyRing
-from charvar.traces import RING, X, free_reduce
+from charvar.traces import RING, X, Y, free_reduce
 
 
 @pytest.fixture
@@ -57,3 +58,43 @@ def plant_variant_fault(monkeypatch, fault):
         return full, fault(variant)
 
     monkeypatch.setattr(links, "char_poly_variants", planted)
+
+
+def _plant_whitehead_fault(monkeypatch, which):
+    factors = links.twisted_whitehead_factors
+
+    def planted(k):
+        out = list(factors(k))
+        out[which] = out[which] + X * Y
+        return tuple(out)
+
+    monkeypatch.setattr(links, "twisted_whitehead_factors", planted)
+
+
+def _plant_family_fault(monkeypatch):
+    build = varieties._cheb_family_factor
+
+    def planted(*args):
+        f = build(*args)
+        f.poly = f.poly + X * Y
+        return f
+
+    monkeypatch.setattr(varieties, "_cheb_family_factor", planted)
+
+
+# one term added to one factor of a factor list, with the links whose
+# reports it reaches: W_k's Chebyshev factor, W_k's Q, and the family
+# factor of the pretzel rows m = 0, n = 0 and n = -1
+FACTOR_FAULTS = {
+    "whitehead chebyshev factor": (
+        partial(_plant_whitehead_fault, which=1), ["whitehead:0", "whitehead:5", "whitehead:6"]
+    ),
+    "whitehead Q": (
+        partial(_plant_whitehead_fault, which=2), ["whitehead:0", "whitehead:5", "whitehead:6"]
+    ),
+    "pretzel family factor": (
+        _plant_family_fault,
+        ["pretzel:0,3", "pretzel:0,-3", "pretzel:2,0", "pretzel:-3,0", "pretzel:2,-1",
+         "pretzel:-2,-1"],
+    ),
+}

@@ -164,6 +164,35 @@ def test_cheb_comb_in_any_order_from_a_reset_or_warm_pair(monkeypatch):
             assert cheb_comb(j, *second) == _want(second, tables[i + 1], j)
 
 
+def _multipliers(ring):
+    # a constant, a polynomial in one variable and, in three variables, one in all three
+    first = ring.var(ring.names[0])
+    out = [ring.const(-3), first**2 - 2 * first + 5]
+    if len(ring.names) == 3:
+        X, Y, Z = (ring.var(n) for n in ring.names)
+        out.append(X * Y**2 - 3 * Z + X * Z + 1)
+    return out
+
+
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "warm"])
+def test_cheb_comb_is_linear_in_u_and_v(monkeypatch, reset):
+    # cheb_comb(k, tau, u R, v R) = R cheb_comb(k, tau, u, v): a component
+    # report forms a family factor's product with the other factors R so
+    monkeypatch.setattr(chebyshev, "_pair", None)
+    for tau, u, v in _comb_cases():
+        for r in _multipliers(tau.ring):
+            sides = []
+            for uv in ((u * r, v * r), (u, v)):
+                row = []
+                for k in range(-6, 13):
+                    if reset:
+                        monkeypatch.setattr(chebyshev, "_pair", None)
+                    row.append(cheb_comb(k, tau, *uv))
+                sides.append(row)
+            for k, lhs, rhs in zip(range(-6, 13), *sides):
+                assert lhs == r * rhs, (tau, u, v, r, k)
+
+
 def test_cheb_comb_from_threads_sharing_the_pair(monkeypatch):
     # the pair is one tuple rebound whole: threads that evict each other's
     # pair at every switch still get exact values

@@ -14,7 +14,7 @@ from charvar.links import REDUCIBLE_SURFACE
 from charvar.polynomials import from_json
 from charvar.traces import GAMMA, X, Y, Z
 
-from conftest import PLANTED_FAULTS, plant_variant_fault
+from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_variant_fault
 
 
 def run(capsys, *argv):
@@ -326,21 +326,46 @@ def test_trace_weight_limit_exit_2(capsys):
     assert code == 0 and out.strip()
 
 
-def test_python_dash_m_runs_the_cli():
+def _cli_env():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "charvar", "verify", "1", "--m", "1..1", "--n", "2..2"],
-        env=env,
+        env=_cli_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "pass" in proc.stdout
+
+
+def test_concurrent_cache_writers_leave_one_valid_entry(tmp_path, capsys):
+    # four fresh processes miss together and each renames its own temporary
+    # file over the same entry
+    cache = tmp_path / "cache"
+    argv = [sys.executable, "-m", "charvar", "charpoly", "twobridge:21,13",
+            "--cache-dir", str(cache)]
+    procs = [subprocess.Popen(argv, env=_cli_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) for _ in range(4)]
+    results = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * 4, [err for _, err in results]
+    outs = {out for out, _ in results}
+    assert len(outs) == 1
+    assert [p.name for p in cache.iterdir()] == ["twobridge_21_13.json"]
+    data = json.loads((cache / "twobridge_21_13.json").read_text())
+    assert (data["engine"], data["p"], data["m"]) == (cli.ENGINE_VERSION, 21, 13)
+    assert str(from_json(data["full"])) + "\n" == outs.pop().decode()
+    # and a hit, which is fingerprinted, prints the same polynomial
+    code, out, _ = run(capsys, "charpoly", "twobridge:21,13", "--cache-dir", str(cache))
+    assert code == 0 and out == str(from_json(data["full"])) + "\n"
 
 
 def test_verify_point_limit_exit_2(capsys, monkeypatch):
@@ -543,3 +568,21 @@ def test_verify_exits_1_on_a_planted_variant_fault(monkeypatch, capsys, fault):
     code, out, _ = run(capsys, "verify", "2", "--p", "10..10")
     assert code == 1
     assert "product=False" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("name", list(FACTOR_FAULTS))
+def test_components_and_verify_exit_1_on_a_planted_factor_fault(monkeypatch, capsys, name):
+    plant, specs = FACTOR_FAULTS[name]
+    plant(monkeypatch)
+    for spec in specs:
+        code, out, _ = run(capsys, "components", spec)
+        assert code == 1 and "product_check=False" in out, spec
+    if specs[0].startswith("whitehead"):
+        argv = ("verify", "3", "--k", "0..6")
+    else:
+        argv = ("verify", "1", "--m=-3..2", "--n=-3..3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    for spec in specs:
+        (row,) = [line for line in out.splitlines() if line.split()[0] == spec]
+        assert "product=False" in row and "FAIL" in row, row

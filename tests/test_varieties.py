@@ -29,7 +29,7 @@ from charvar.varieties import (
     _triangular_descent,
 )
 
-from conftest import PLANTED_FAULTS, plant_variant_fault
+from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_variant_fault
 
 
 def test_certificate_linear_pass():
@@ -310,6 +310,50 @@ def test_planted_variant_faults_fail_the_fingerprint(monkeypatch, fault):
     for rep in (verify_twobridge3(5), verify_twisted_whitehead(2)):
         assert not rep.product_check and not rep.ok()
         assert "conjugate-variant polynomial fails its mod-P fingerprint" in rep.notes
+
+
+FAMILY_NOTE = "Chebyshev family factor fails its mod-P fingerprint"
+
+
+def _report_of(spec):
+    link = links.parse_link(spec)
+    if isinstance(link, links.Pretzel):
+        return count_components_pretzel(link.m, link.n)
+    return verify_twisted_whitehead(link.k)
+
+
+@pytest.mark.parametrize("name", list(FACTOR_FAULTS))
+def test_planted_factor_faults_fail_the_product_check(monkeypatch, name):
+    plant, specs = FACTOR_FAULTS[name]
+    plant(monkeypatch)
+    for spec in specs:
+        rep = _report_of(spec)
+        assert not rep.product_check and not rep.ok(), spec
+        if name == "whitehead Q":
+            # Q is a multiplicand: the exact comparisons catch it
+            assert "conjugate-variant polynomial does not match the closed form" in rep.notes
+            assert FAMILY_NOTE not in rep.notes, spec
+        else:
+            # the family factor is not a multiplicand, and the exact
+            # product still matches: its mod-P fingerprint alone catches it
+            assert rep.notes[-1] == FAMILY_NOTE, (spec, rep.notes)
+            assert not any("conjugate-variant" in note for note in rep.notes), spec
+
+
+def test_family_factors_enter_the_product_by_their_combination():
+    # the cheb_linear_family factor's poly is u S_k(inner) - v S_{k-1}(inner)
+    # for its (k, u, v), and the report passes its fingerprint
+    specs = ["pretzel:0,%d" % n for n in (-5, -3, -2, 0, 1, 4)]
+    specs += ["pretzel:%d,0" % m for m in (-4, -1, 0, 3)]
+    specs += ["pretzel:%d,-1" % m for m in (-3, -1, 1, 2, 5)]
+    specs += ["whitehead:%d" % k for k in range(7)]
+    for spec in specs:
+        rep = _report_of(spec)
+        assert rep.ok() and FAMILY_NOTE not in rep.notes, spec
+        (family,) = [f for f in rep.factors if f.kind == "cheb_linear_family"]
+        k, u, v = family.comb
+        assert family.univariate == u * cheb(k) - v * cheb(k - 1), spec
+        assert family.poly == family.univariate.map_values({"t": family.inner}, RING), spec
 
 
 def test_correct_variants_pass_the_fingerprint():
