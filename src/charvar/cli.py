@@ -253,13 +253,10 @@ def cmd_charpoly(args):
     else:
         tb = links.as_two_bridge(spec)
         poly = cached_char_poly(tb.p, tb.m, cache_dir)
-        if cache_dir is not None:
-            # a hit is returned as read; the relator's fingerprint checks it, up to sign
-            words = links.relator_words(links.riley_word(tb.p, tb.m))
-            if not (varieties.relator_fingerprint(*words, poly)
-                    or varieties.relator_fingerprint(*words, -poly)):
-                raise CacheError("cache entry %s fails its mod-P fingerprint"
-                                 % _cache_path(cache_dir, tb.p, tb.m))
+        # a hit is returned as read; the relator's fingerprint checks it, up to sign
+        if cache_dir is not None and not varieties.twobridge_fingerprint(tb, poly):
+            raise CacheError("cache entry %s fails its mod-P fingerprint"
+                             % _cache_path(cache_dir, tb.p, tb.m))
     _emit_poly(poly, args.format)
     return 0
 

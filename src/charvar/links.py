@@ -143,12 +143,12 @@ def char_poly_variants(p, m):
     """Both conjugate variants of the word-derived polynomial.
 
     Returns (P_{a w a^-1 b^-1} - P_{w b^-1}, P_{a^-1 w a b^-1} - P_{w b^-1}),
-    the first the memoised char_poly_twobridge(p, m).full.  The two
-    generate the same principal ideal up to sign for the links in this
-    catalog; the verification layer asserts that.  A Riley word is a
-    palindrome, so the second left word is a rotation of the reverse of
-    the first, and the trace memo serves its polynomial; the verification
-    layer also checks the variant by an exact fingerprint mod a prime.
+    the first the memoised char_poly_twobridge(p, m).full.  A Riley word
+    is a palindrome, so the second left word is a rotation of the reverse
+    of the first, and the trace memo serves its polynomial from the
+    first's: the two are the same polynomial.  Verification does not call
+    this; it checks full itself by an exact fingerprint along the second
+    pair of words (varieties.twobridge_fingerprint).
     """
     full = char_poly_twobridge(p, m).full
     return full, _relator_difference(riley_word(p, m), conjugate_by_inverse=True)
@@ -171,8 +171,8 @@ def _relator_difference(w, conjugate_by_inverse):
 # -- pretzel closed form ---------------------------------------------------------
 
 
-def pretzel_beta():
-    return X * Y * Z + 2 - Y**2 - Z**2
+# the pretzel link's own coordinates (x1, y, beta) for the builders below
+PRETZEL_COORDS = (X * Z - Y, Y, X * Y * Z + 2 - Y**2 - Z**2)
 
 
 def pretzel_q(m, n, x1, y, beta):
@@ -180,7 +180,7 @@ def pretzel_q(m, n, x1, y, beta):
 
     With alpha = y S_{m-1}(beta) - x1 S_{m-2}(beta),
     Q = x1 S_{n-1}(alpha) - (S_m(beta) - S_{m-1}(beta)) S_{n-2}(alpha).
-    The pretzel link's own coordinates are (x z - y, y, pretzel_beta()).
+    The pretzel link's own coordinates are PRETZEL_COORDS.
     """
     alpha = cheb_comb(m - 1, beta, y, x1)
     return cheb_comb(n - 1, alpha, x1, cheb_comb(m, beta, 1, 1))
@@ -197,7 +197,7 @@ def pretzel_r(m, x1, y, beta):
 
 def pretzel_nonabelian(m, n):
     """Q with (gamma - 2) * Q the defining polynomial of the pretzel link."""
-    return pretzel_q(m, n, X * Z - Y, Y, pretzel_beta())
+    return pretzel_q(m, n, *PRETZEL_COORDS)
 
 
 @lru_cache(maxsize=None)

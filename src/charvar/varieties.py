@@ -18,9 +18,10 @@ polynomial explicitly, verify the defining substitution identity, check
 the gcd precondition that makes the chain valid, and record every step
 in the diagnostic.
 
-A two-bridge report also checks the conjugate-variant polynomial,
-which the trace memo serves, against 2x2 matrix products mod the prime
-2^61 - 1 at one seeded pair (relator_fingerprint).
+A two-bridge report also checks its word polynomial, which the trace
+memo serves, against 2x2 matrix products mod the prime 2^61 - 1 at one
+seeded pair, taken along the conjugate relator words a^-1 w a b^-1 and
+w b^-1 (twobridge_fingerprint).
 
 A Chebyshev family factor u S_k(inner) - v S_{k-1}(inner) enters the
 exact product as the same combination of u R and v R, R the product of
@@ -385,20 +386,28 @@ def _family_fingerprint(f):
 
 
 def relator_fingerprint(left, right, poly):
-    """Whether poly = P_left - P_right holds mod P at the seeded pair, exactly.
+    """Whether poly = +-(P_left - P_right) holds mod P at the seeded pair, exactly.
 
     tr left - tr right comes from 2x2 integer products mod the prime
-    P = 2^61 - 1, and poly is evaluated mod P at (tr A, tr B, tr AB).
-    Neither side touches the trace engine, so this checks a polynomial
-    the memo served.  A wrong poly agrees at a random pair with
-    probability of order deg(poly) / P (Schwartz-Zippel).
+    P = 2^61 - 1, and poly is evaluated mod P, once, at (tr A, tr B, tr AB);
+    either sign of the difference is accepted, as a defining polynomial
+    is one up to sign.  Neither side touches the trace engine, so this
+    checks a polynomial the memo served.  A wrong poly agrees at a random
+    pair with probability of order 2 deg(poly) / P (Schwartz-Zippel).
     """
     letters, point = _fingerprint_pair()
-    difference = _trace_mod(left, letters) - _trace_mod(right, letters)
-    return difference % FINGERPRINT_PRIME == poly.evaluate_mod(point, FINGERPRINT_PRIME)
+    difference = (_trace_mod(left, letters) - _trace_mod(right, letters)) % FINGERPRINT_PRIME
+    value = poly.evaluate_mod(point, FINGERPRINT_PRIME)
+    return value in (difference, -difference % FINGERPRINT_PRIME)
 
 
-def _report(link, factors, full, variant=None, notes=()):
+def twobridge_fingerprint(tb, poly):
+    """relator_fingerprint of poly for the two-bridge link tb, along a^-1 w a b^-1 and w b^-1."""
+    w = links.riley_word(tb.p, tb.m)
+    return relator_fingerprint(*links.relator_words(w, conjugate_by_inverse=True), poly)
+
+
+def _report(link, factors, full, fingerprint_ok=True, notes=()):
     """Product and sign check of a factor list against full, as a report.
 
     The exact product multiplies the factor polynomials, except that each
@@ -407,9 +416,7 @@ def _report(link, factors, full, variant=None, notes=()):
     the small inner instead of by the factor.  The factor's own
     polynomial is checked instead, by _family_fingerprint.
 
-    variant, when given, is (the conjugate-variant polynomial, whether
-    it passed its fingerprint); it must pass, and match the product up
-    to sign as well.
+    fingerprint_ok is whether full passed its relator fingerprint.
     """
     prod = RING.one()
     # the surface factor, first and smallest, is multiplied in last: it
@@ -423,17 +430,14 @@ def _report(link, factors, full, variant=None, notes=()):
             prod = cheb_comb(k, f.inner, prod if u else 0, prod if v else 0)
     sign = _match_sign(full, prod)
     notes = list(notes)
+    if sign == 0:
+        notes.append("defining polynomial does not match the product of the factors")
     if not all(_family_fingerprint(f) for f in factors if f.comb is not None):
         notes.append("Chebyshev family factor fails its mod-P fingerprint")
         sign = 0
-    if variant is not None:
-        poly, fingerprint_ok = variant
-        if _match_sign(poly, prod) == 0:
-            notes.append("conjugate-variant polynomial does not match the closed form")
-            sign = 0
-        if not fingerprint_ok:
-            notes.append("conjugate-variant polynomial fails its mod-P fingerprint")
-            sign = 0
+    if not fingerprint_ok:
+        notes.append("defining polynomial fails its mod-P fingerprint")
+        sign = 0
     return ComponentReport(
         link=link,
         factors=factors,
@@ -496,9 +500,8 @@ def _triangular_descent(q1, q2, details):
     return image if ok else None
 
 
-# the coordinate triples (x1, y, beta) the pretzel builders run in:
-# (x z - y, y, x y z + 2 - y^2 - z^2), (x1, y, x1 y + 2 - z^2), (x1, y, b2)
-_XZ_COORDS = (X * Z - Y, Y, links.pretzel_beta())
+# the coordinate triples (x1, y, beta) the pretzel chains run in, after
+# links.PRETZEL_COORDS: (x1, y, x1 y + 2 - z^2) and (x1, y, b2)
 _x1, _y1, _z1 = (R_X1.var(v) for v in R_X1.names)
 _X1_COORDS = (_x1, _y1, _x1 * _y1 + 2 - _z1**2)
 _B2_COORDS = tuple(R_B2.var(v) for v in R_B2.names)
@@ -569,14 +572,6 @@ def certify_pretzel_generic(m, n, q):
     return _pretzel_chain("q", q, partial(links.pretzel_q, m, n), partial(_move_to_x2, m, n))
 
 
-def _pretzel_R(m):
-    return links.pretzel_r(m, *_XZ_COORDS)
-
-
-def _pretzel_R2(m):
-    return links.pretzel_r(m, *_B2_COORDS)
-
-
 def certify_pretzel_extra_twist(m, r):
     """Irreducibility chain for the caller's r, which must be the n = -1 cofactor R(m), m != 0."""
     return _pretzel_chain("r", r, partial(links.pretzel_r, m), partial(_linear_in_y, "r2"))
@@ -641,7 +636,7 @@ def count_components_pretzel(m, n):
     """Factor list, certificates and component count for a pretzel link."""
     link = links.Pretzel(m, n)
     cp = links.pretzel_char_poly(m, n)
-    if (m, n) == (0, -1):
+    if cp.degenerate:
         return ComponentReport(
             link=link,
             factors=[],
@@ -651,18 +646,18 @@ def count_components_pretzel(m, n):
             unlink=True,
             notes=["two-component unlink: the character variety is C^3"],
         )
+    x1, _, beta = links.PRETZEL_COORDS
     factors = [_surface_factor()]
     notes = []
     if m == 0:
-        factors.append(_cheb_family_factor(n if n >= 0 else -(n + 2), 1, 0, X * Z - Y))
+        factors.append(_cheb_family_factor(n if n >= 0 else -(n + 2), 1, 0, x1))
         notes.append("nonabelian part splits into Chebyshev level sets of x z - y")
     elif n == 0:
-        factors.append(_cheb_family_factor(m if m >= 0 else -m - 1, 1, 1, links.pretzel_beta()))
+        factors.append(_cheb_family_factor(m if m >= 0 else -m - 1, 1, 1, beta))
         notes.append("nonabelian part splits into level sets of x y z + 2 - y^2 - z^2")
     elif n == -1:
-        factors.append(_cheb_family_factor(m - 1 if m >= 1 else -m - 1, 1, 0,
-                                           links.pretzel_beta()))
-        r = _pretzel_R(m)
+        factors.append(_cheb_family_factor(m - 1 if m >= 1 else -m - 1, 1, 0, beta))
+        r = links.pretzel_r(m, *links.PRETZEL_COORDS)
         res = certify_pretzel_extra_twist(m, r)
         factors.append(_explicit_factor(r, SquareObstruction("z"), res))
     elif m == 1:
@@ -714,7 +709,7 @@ def verify_twobridge3(p):
     res, rotated = certify_rotated_even(q)
     details = ["irreducible in x, y^2 after rotation"] + res.details
     factors.append(_explicit_factor(q, SquareObstruction("y"), CertResult(res.ok, details)))
-    return _two_bridge_report(link, factors, p, 3)
+    return _two_bridge_report(link, factors)
 
 
 def verify_twisted_whitehead(k):
@@ -727,14 +722,14 @@ def verify_twisted_whitehead(k):
     comb = (n - 1, 1, 0) if k % 2 else (n, 1, 1)
     factors.append(_cheb_family_factor(*comb, GAMMA, cheb_factor))
     factors.append(_certified_whitehead_q(k, n, q))
-    return _two_bridge_report(link, factors, 2 * k + 2, 2 * k + 1)
+    return _two_bridge_report(link, factors)
 
 
-def _two_bridge_report(link, factors, p, m):
-    """_report of b(2p, m)'s factors against both variants, the second fingerprinted."""
-    full, variant = links.char_poly_variants(p, m)
-    words = links.relator_words(links.riley_word(p, m), conjugate_by_inverse=True)
-    return _report(link, factors, full, (variant, relator_fingerprint(*words, variant)))
+def _two_bridge_report(link, factors):
+    """_report of a two-bridge link's factors against its fingerprinted word polynomial."""
+    tb = links.as_two_bridge(link)
+    full = links.char_poly_twobridge(tb.p, tb.m).full
+    return _report(link, factors, full, twobridge_fingerprint(tb, full))
 
 
 def _certified_whitehead_q(k, n, q):

@@ -41,7 +41,7 @@ def random_word(rng, max_syllables=12, max_exp=4):
     return free_reduce(tuple(out))
 
 
-# planted faults in the conjugate variant: each is caught by the
+# planted faults in a two-bridge word polynomial: each is caught by the
 # fingerprint on its own, whatever the product comparison says
 PLANTED_FAULTS = {
     "plus one": lambda v: v + 1,
@@ -50,14 +50,13 @@ PLANTED_FAULTS = {
 }
 
 
-def plant_variant_fault(monkeypatch, fault):
-    variants = links.char_poly_variants
+def plant_full_fault(monkeypatch, fault):
+    char_poly = links.char_poly_twobridge
 
     def planted(p, m):
-        full, variant = variants(p, m)
-        return full, fault(variant)
+        return links.CharPoly(full=fault(char_poly(p, m).full))
 
-    monkeypatch.setattr(links, "char_poly_variants", planted)
+    monkeypatch.setattr(links, "char_poly_twobridge", planted)
 
 
 def _plant_whitehead_fault(monkeypatch, which):

@@ -14,7 +14,7 @@ from charvar.links import REDUCIBLE_SURFACE
 from charvar.polynomials import from_json
 from charvar.traces import GAMMA, X, Y, Z
 
-from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_variant_fault
+from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_full_fault
 
 
 def run(capsys, *argv):
@@ -564,10 +564,22 @@ def test_verify_says_when_the_seed_is_unused(capsys):
 
 @pytest.mark.parametrize("fault", PLANTED_FAULTS.values(), ids=list(PLANTED_FAULTS))
 def test_verify_exits_1_on_a_planted_variant_fault(monkeypatch, capsys, fault):
-    plant_variant_fault(monkeypatch, fault)
+    # the fault is planted in the word polynomial the report holds
+    plant_full_fault(monkeypatch, fault)
     code, out, _ = run(capsys, "verify", "2", "--p", "10..10")
     assert code == 1
     assert "product=False" in out and "FAIL" in out
+
+
+def test_verification_never_builds_the_conjugate_variant(monkeypatch, capsys):
+    def refuse(p, m):
+        raise AssertionError("char_poly_variants(%d, %d) called" % (p, m))
+
+    monkeypatch.setattr(cli.links, "char_poly_variants", refuse)
+    for rep in (cli.varieties.verify_twobridge3(5), cli.varieties.verify_twisted_whitehead(2)):
+        assert rep.ok() and rep.notes == [], rep.link
+    code, out, _ = run(capsys, "verify", "2", "--p", "10..10")
+    assert code == 0 and "pass" in out
 
 
 @pytest.mark.parametrize("name", list(FACTOR_FAULTS))

@@ -16,6 +16,7 @@ from charvar.varieties import (
     pretzel_table_count,
     reducible_surface_check,
     relator_fingerprint,
+    twobridge_fingerprint,
     verify_twisted_whitehead,
     verify_twobridge3,
 )
@@ -23,17 +24,15 @@ from charvar.varieties import (
     _B2_COORDS,
     _X1_COORDS,
     _move_to_x2,
-    _pretzel_R,
-    _pretzel_R2,
     _surface_factor,
     _triangular_descent,
 )
 
-from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_variant_fault
+from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_full_fault
 
 
 def test_certificate_linear_pass():
-    r2 = _pretzel_R2(3)
+    r2 = links.pretzel_r(3, *_B2_COORDS)
     res = check_certificate(LinearInVariable("y"), r2)
     assert res.ok, res.details
 
@@ -91,7 +90,7 @@ def test_pretzel_chains_certify_only_the_polynomial_handed_in():
     assert certify_pretzel_generic(2, 2, q).ok
     res = certify_pretzel_generic(2, 2, q + Z)
     assert not res.ok and res.details[-1] == Q1_FAILED
-    r = _pretzel_R(3)
+    r = links.pretzel_r(3, *links.PRETZEL_COORDS)
     assert certify_pretzel_extra_twist(3, r).ok
     res = certify_pretzel_extra_twist(3, 2 * r)
     assert not res.ok and res.details[-1] == Q1_FAILED
@@ -137,7 +136,7 @@ def test_pell_rearrangement_identity():
 def test_extra_twist_cofactor_anchor():
     # R at y = +-2, z = 0 is the constant +-4 (-1)^m
     for m in range(-5, 6):
-        r = _pretzel_R(m)
+        r = links.pretzel_r(m, *links.PRETZEL_COORDS)
         plus = r.substitute("y", RING.const(2)).substitute("z", RING.zero())
         minus = r.substitute("y", RING.const(-2)).substitute("z", RING.zero())
         assert plus == RING.const(4 * (-1) ** m)
@@ -306,13 +305,16 @@ def test_surface_factor_is_fresh_each_time():
 
 @pytest.mark.parametrize("fault", PLANTED_FAULTS.values(), ids=list(PLANTED_FAULTS))
 def test_planted_variant_faults_fail_the_fingerprint(monkeypatch, fault):
-    plant_variant_fault(monkeypatch, fault)
+    # the fault is planted in the word polynomial the report holds
+    plant_full_fault(monkeypatch, fault)
     for rep in (verify_twobridge3(5), verify_twisted_whitehead(2)):
         assert not rep.product_check and not rep.ok()
-        assert "conjugate-variant polynomial fails its mod-P fingerprint" in rep.notes
+        assert FULL_FINGERPRINT_NOTE in rep.notes and PRODUCT_NOTE in rep.notes
 
 
 FAMILY_NOTE = "Chebyshev family factor fails its mod-P fingerprint"
+FULL_FINGERPRINT_NOTE = "defining polynomial fails its mod-P fingerprint"
+PRODUCT_NOTE = "defining polynomial does not match the product of the factors"
 
 
 def _report_of(spec):
@@ -330,14 +332,14 @@ def test_planted_factor_faults_fail_the_product_check(monkeypatch, name):
         rep = _report_of(spec)
         assert not rep.product_check and not rep.ok(), spec
         if name == "whitehead Q":
-            # Q is a multiplicand: the exact comparisons catch it
-            assert "conjugate-variant polynomial does not match the closed form" in rep.notes
+            # Q is a multiplicand: the exact product comparison catches it
+            assert PRODUCT_NOTE in rep.notes, spec
             assert FAMILY_NOTE not in rep.notes, spec
         else:
             # the family factor is not a multiplicand, and the exact
             # product still matches: its mod-P fingerprint alone catches it
             assert rep.notes[-1] == FAMILY_NOTE, (spec, rep.notes)
-            assert not any("conjugate-variant" in note for note in rep.notes), spec
+            assert PRODUCT_NOTE not in rep.notes, spec
 
 
 def test_family_factors_enter_the_product_by_their_combination():
@@ -357,14 +359,16 @@ def test_family_factors_enter_the_product_by_their_combination():
 
 
 def test_correct_variants_pass_the_fingerprint():
-    # every b(2p, 3) and W_k the CLI accepts, and the original relator
-    # polynomial too
+    # every b(2p, 3) and W_k the CLI accepts, along both relator word
+    # pairs, with either sign; each planted fault fails, with either sign
     specs = [(p, 3) for p in range(4, 38) if p % 3]
     specs += [(2 * k + 2, 2 * k + 1) for k in range(25)]
     for p, m in specs:
         full, variant = links.char_poly_variants(p, m)
         w = links.riley_word(p, m)
         assert relator_fingerprint(*links.relator_words(w, conjugate_by_inverse=True), variant)
-        assert relator_fingerprint(*links.relator_words(w), full)
-        for fault in PLANTED_FAULTS.values():
-            assert not relator_fingerprint(*links.relator_words(w), fault(full)), (p, m)
+        for poly in (full, -full):
+            assert twobridge_fingerprint(links.TwoBridge(p, m), poly), (p, m)
+            assert relator_fingerprint(*links.relator_words(w), poly), (p, m)
+            for fault in PLANTED_FAULTS.values():
+                assert not twobridge_fingerprint(links.TwoBridge(p, m), fault(poly)), (p, m)
