@@ -5,10 +5,10 @@ to negative indices by S_{-k} = -S_{k-2}.  Every closed form of the link
 polynomials, and the power identity of the trace engine, is a combination
 C_k = u S_k(tau) - v S_{k-1}(tau), and the C_k satisfy the same
 recurrence C_{k+1} = tau C_k - C_{k-1} from (C_0, C_{-1}) = (u, v).
-cheb_comb runs it on packed term maps, up or down, and keeps the last
-pair it reached, so a call at a neighbouring index of the same
-(tau, u, v), such as the r and r - 1 collapses of a relator's two words,
-costs at most the steps between them.  The S_k drive the component
+cheb_pair runs it on packed term maps, up or down, and returns the pair
+(C_k, C_{k-1}) it ends on, so a caller that wants the neighbour, such as
+the trace engine's r - 1 repeat of a collapsed block, gets it with no
+product.  The module keeps no state.  The S_k drive the component
 counts too.
 """
 
@@ -22,10 +22,6 @@ from .polynomials import (
 
 T_RING = PolyRing(("t",))
 T = T_RING.var("t")
-
-# the last pair the recurrence reached, (tau, u, v, j, C_j, C_{j-1}); one
-# tuple, rebound whole, so a reader sees one consistent pair
-_pair = None
 
 
 @lru_cache(maxsize=None)
@@ -48,11 +44,6 @@ def cheb_at(k, value):
     return cheb_comb(k, value, 1, 0)
 
 
-def _steps(k, j):
-    """Recurrence steps from the pair (C_j, C_{j-1}) to C_k."""
-    return k - j if k > j else max(j - 1 - k, 0)
-
-
 def _in_ring(c, ring):
     """An int or polynomial coefficient as a polynomial of ring."""
     if isinstance(c, int):
@@ -65,42 +56,34 @@ def _in_ring(c, ring):
 def cheb_comb(k, tau, u, v):
     """u S_k(tau) - v S_{k-1}(tau) in tau's ring; u and v are ints or polynomials there.
 
-    Steps from (C_0, C_{-1}) = (u, v), or from the kept pair when its
-    (tau, u, v) equals the call's and it is nearer to k, and stops as
-    soon as k is a member of the pair, which is then kept.
+    |k| steps of the recurrence for k >= 0, |k + 1| for k < 0.
     """
-    global _pair
+    return cheb_pair(k, tau, u, v)[0] if k >= 0 else cheb_pair(k + 1, tau, u, v)[1]
+
+
+def cheb_pair(k, tau, u, v):
+    """(C_k, C_{k-1}) for C_j = u S_j(tau) - v S_{j-1}(tau), by |k| steps from (u, v)."""
     ring = tau.ring
-    pair = _pair
-    if (pair is not None and _steps(k, pair[3]) < _steps(k, 0)
-            and (pair[0] is tau or pair[0] == tau)
-            and (pair[1] is u or pair[1] == u) and (pair[2] is v or pair[2] == v)):
-        j, hi, lo = pair[3:]
-    else:
-        j, hi, lo = 0, _in_ring(u, ring), _in_ring(v, ring)
-    steps = _steps(k, j)
+    hi, lo = _in_ring(u, ring), _in_ring(v, ring)
+    steps = abs(k)
     if not steps:
-        return hi if k == j else lo
-    # no exponent of any C_i on the way is above this
+        return hi, lo
+    # no exponent of any C_j on the way is above this
     top = max(hi._top, lo._top) + steps * tau._top
     if top >= _WIDE:  # as in __mul__: only an exact bound may widen the fields
         top = max(hi._exact_top(), lo._exact_top()) + steps * tau._exact_top()
     w = _width(top)
     t = tau._at(w)
-    # going down, C_{i-1} = tau C_i - C_{i+1} is the same step on the swapped pair
-    a, b = (hi._at(w), lo._at(w)) if k > j else (lo._at(w), hi._at(w))
+    # going down, C_{j-1} = tau C_j - C_{j+1} is the same step on the swapped pair
+    a, b = (hi._at(w), lo._at(w)) if k > 0 else (lo._at(w), hi._at(w))
     for _ in range(steps):
         # the smaller map is the outer loop, as in __mul__
         small, large = (t, a) if len(t) <= len(a) else (a, t)
         c = _packed_product(small.items(), large.items())
         _sub_into(c, b)
         a, b = c, a
-    if k > j:
-        hi, lo, j = Polynomial(ring, a, top), Polynomial(ring, b, top), k
-    else:
-        hi, lo, j = Polynomial(ring, b, top), Polynomial(ring, a, top), k + 1
-    _pair = (tau, u, v, j, hi, lo)
-    return hi if k == j else lo
+    a, b = Polynomial(ring, a, top), Polynomial(ring, b, top)
+    return (a, b) if k > 0 else (b, a)
 
 
 def cheb_diff(k):

@@ -62,8 +62,9 @@ def cached_char_poly(p, m, cache_dir=None):
     """Word-derived defining polynomial, optionally through an on-disk cache.
 
     An entry from another engine version is recomputed; one that cannot
-    be parsed, whose recorded (p, m) is not its key, or whose polynomial
-    is not in the variables (x, y, z), raises CacheError.  Nothing else
+    be parsed, whose recorded (p, m) is not its key, whose polynomial is
+    not in the variables (x, y, z), or that has an exponent above the
+    weight of the left relator word, raises CacheError.  Nothing else
     about a hit is checked here: `charpoly` checks it, up to sign, by the
     relator's mod-P fingerprint, and `verify` compares it, up to sign,
     with the word polynomial its report has matched to the certified
@@ -86,9 +87,16 @@ def cached_char_poly(p, m, cache_dir=None):
                 raise CacheError("cache entry %s is for (p, m) = (%r, %r), not (%d, %d)"
                                  % (path, data.get("p"), data.get("m"), p, m))
             try:
-                return from_json(data["full"], RING)
+                full = from_json(data["full"], RING)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CacheError("malformed cache entry %s: %s" % (path, exc)) from None
+            # no exponent of a trace polynomial is above its word's weight,
+            # and a checker's power tables grow with the largest exponent
+            weight = sum(abs(e) for _, e in links.relator_words(links.riley_word(p, m))[0])
+            if full._top > weight:
+                raise CacheError("cache entry %s has exponent %d, above %d, the weight of"
+                                 " its relator word" % (path, full._top, weight))
+            return full
         # stale engine version: recompute and overwrite below
     full = links.char_poly_twobridge(p, m).full
     os.makedirs(cache_dir, exist_ok=True)

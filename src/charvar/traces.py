@@ -7,7 +7,7 @@ collapses the longest-saving repeated block by the power identity
 
     tr(P B^r Q) = S_r(tr B) tr(PQ) - S_{r-1}(tr B) tr(P B^{-1} Q),
 
-one chebyshev.cheb_comb, when that removes at least a quarter of the
+one chebyshev.cheb_pair, when that removes at least a quarter of the
 word's weight, so that words like (ba)^n (b^-1 a^-1)^n ... reduce to a
 handful of shorter words.  Every other word, the empty word and single
 syllables included, is walked once, left to right, in
@@ -27,7 +27,10 @@ A^-1, B^-1 and A^-1 B^-1 = (BA)^-1 have traces x, y and z, so a computed
 value is stored under that twin key as well.  The reverse of a word is
 the inverse of its negation, so it is served from the memo: for a
 palindrome w, such as a Riley word, a^-1 w a b^-1 is a rotation of the
-reverse of a w a^-1 b^-1.
+reverse of a w a^-1 b^-1.  A collapse also stores the word with one
+repeat fewer: cheb_pair ends on (tr(P B^r Q), tr(P B^(r-1) Q)), so a
+twisted Whitehead link's second relator word w b^-1 is served with no
+block search and no product.
 
 trace_poly_oracle recomputes the same polynomial by multiplying explicit
 SL2 matrices, with every b-letter scaled by c so that all entries are
@@ -46,7 +49,7 @@ from functools import lru_cache
 from math import comb
 from operator import eq, lshift
 
-from .chebyshev import cheb, cheb_comb
+from .chebyshev import cheb, cheb_pair
 from .polynomials import Polynomial, PolyRing, _packed_product, _width
 
 RING = PolyRing(("x", "y", "z"))
@@ -255,12 +258,16 @@ def _compute(u):
         # each collapse traces two words of nearly the full length, so a
         # small saving costs more than the walk
         if 4 * (reps - 1) * sum(abs(e) for _, e in block) >= sum(abs(e) for _, e in u):
-            return cheb_comb(
+            value, lower = cheb_pair(
                 reps,
                 trace_poly(block),
                 trace_poly(word_concat(prefix, suffix)),
                 trace_poly(word_concat(prefix, word_inverse(block), suffix)),
             )
+            # lower is the trace of the word with one repeat fewer; the
+            # twin lookup of trace_poly finds it under the negated key too
+            _memo.setdefault(canonical_form(prefix + block * (reps - 1) + suffix), lower)
+            return value
     return _walk(u)
 
 

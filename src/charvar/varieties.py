@@ -1,7 +1,9 @@
 """Component counts of character varieties, with irreducibility certificates.
 
 Counting works through constructed factor lists.  Each non-obvious factor
-carries a machine-checkable certificate:
+carries the outcome and the steps (cert_ok, details) of a machine-checkable
+certificate of one of these kinds, which check_certificate also runs on a
+polynomial given to it:
 
   * LinearInVariable(v): degree 1 in v with coprime coefficient pair,
     which forces irreducibility over C;
@@ -170,7 +172,6 @@ class FactorCertificate:
     poly: object  # integer-coefficient contribution to the product
     components: int
     multiplicity: int = 1
-    cert: object = None
     cert_ok: bool = True
     details: list = field(default_factory=list)
     univariate: object = None  # cheb_linear_family only
@@ -259,7 +260,6 @@ def _surface_factor():
         kind="reducible_surface",
         poly=REDUCIBLE_SURFACE,
         components=1,
-        cert=DegenerateExplicit("reducible characters form the surface gamma - 2 = 0"),
         cert_ok=ok,
         details=[detail],
     )
@@ -293,7 +293,6 @@ def _cheb_family_factor(k, u, v, inner, poly=None):
         kind="cheb_linear_family",
         poly=cheb_comb(k, inner, u, v) if poly is None else poly,
         components=count,
-        cert=DegenerateExplicit(note),
         cert_ok=True,
         details=[
             "%d distinct roots r, one component inner - r each" % count,
@@ -305,19 +304,18 @@ def _cheb_family_factor(k, u, v, inner, poly=None):
     )
 
 
-def _explicit_factor(poly, cert, result):
+def _explicit_factor(poly, result):
     return FactorCertificate(
         kind="explicit_irreducible",
         poly=poly,
         components=1,
-        cert=cert,
         cert_ok=result.ok,
         details=result.details,
     )
 
 
 def _linear_factor(poly, var):
-    return _explicit_factor(poly, LinearInVariable(var), _check_linear(var, poly))
+    return _explicit_factor(poly, _check_linear(var, poly))
 
 
 def _match_sign(full, prod):
@@ -659,7 +657,7 @@ def count_components_pretzel(m, n):
         factors.append(_cheb_family_factor(m - 1 if m >= 1 else -m - 1, 1, 0, beta))
         r = links.pretzel_r(m, *links.PRETZEL_COORDS)
         res = certify_pretzel_extra_twist(m, r)
-        factors.append(_explicit_factor(r, SquareObstruction("z"), res))
+        factors.append(_explicit_factor(r, res))
     elif m == 1:
         if n == 2:
             factors += [_linear_factor(Z - 1, "z"), _linear_factor(Z + 1, "z")]
@@ -669,7 +667,7 @@ def count_components_pretzel(m, n):
             factors.append(_linear_factor(cp.nonabelian, "x"))
     else:
         res = certify_pretzel_generic(m, n, cp.nonabelian)
-        factors.append(_explicit_factor(cp.nonabelian, SquareObstruction("z"), res))
+        factors.append(_explicit_factor(cp.nonabelian, res))
     return _report(link, factors, cp.full, notes=notes)
 
 
@@ -708,7 +706,7 @@ def verify_twobridge3(p):
     factors = [_surface_factor()]
     res, rotated = certify_rotated_even(q)
     details = ["irreducible in x, y^2 after rotation"] + res.details
-    factors.append(_explicit_factor(q, SquareObstruction("y"), CertResult(res.ok, details)))
+    factors.append(_explicit_factor(q, CertResult(res.ok, details)))
     return _two_bridge_report(link, factors)
 
 
@@ -736,7 +734,7 @@ def _certified_whitehead_q(k, n, q):
     """Leading-coefficient route: top x-coefficient z, then a z = 2 slice."""
     if k == 0:
         return _linear_factor(q, "z")
-    return _explicit_factor(q, SquareObstruction("x"), _whitehead_q_chain(n, q))
+    return _explicit_factor(q, _whitehead_q_chain(n, q))
 
 
 def _whitehead_q_chain(n, q):

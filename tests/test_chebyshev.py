@@ -1,12 +1,12 @@
 import json
 import random
-import sys
-import threading
 
 import pytest
 
-from charvar import chebyshev, traces
-from charvar.chebyshev import T, cheb, cheb_at, cheb_comb, cheb_diff, distinct_root_count
+from charvar import traces
+from charvar.chebyshev import (
+    T, cheb, cheb_at, cheb_comb, cheb_diff, cheb_pair, distinct_root_count,
+)
 from charvar.links import relator_words, riley_word
 from charvar.polynomials import PolyRing, poly_gcd
 from charvar.traces import trace_poly
@@ -131,17 +131,21 @@ def _want(case, s, k):
     return u * s[k] - v * s[k - 1]
 
 
-def test_cheb_comb_matches_recurrence(monkeypatch):
-    monkeypatch.setattr(chebyshev, "_pair", None)
+def test_cheb_comb_matches_recurrence():
+    # cheb_comb and both members of cheb_pair's (C_k, C_{k-1})
     for tau, u, v in _comb_cases():
-        s = _s_table(tau, -7, 12)
+        s = _s_table(tau, -8, 12)
         for k in range(-6, 13):
             got = cheb_comb(k, tau, u, v)
-            assert got.ring == tau.ring
-            assert got == u * s[k] - v * s[k - 1], (tau, u, v, k)
+            hi, lo = cheb_pair(k, tau, u, v)
+            assert got.ring == hi.ring == lo.ring == tau.ring
+            assert got == hi == u * s[k] - v * s[k - 1], (tau, u, v, k)
+            assert lo == u * s[k - 1] - v * s[k - 2], (tau, u, v, k)
 
 
-def test_cheb_comb_in_any_order_from_a_reset_or_warm_pair(monkeypatch):
+def test_cheb_comb_in_any_order_from_a_reset_or_warm_pair():
+    # no call leaves state behind: every order of indices, and two triples
+    # interleaved, give the values of the recurrence
     rng = random.Random(13)
     cases = _comb_cases()
     tables = [_s_table(tau, -7, 12) for tau, _, _ in cases]
@@ -149,14 +153,9 @@ def test_cheb_comb_in_any_order_from_a_reset_or_warm_pair(monkeypatch):
     rng.shuffle(shuffled)
     orders = [list(range(-6, 13)), list(range(12, -7, -1)), shuffled]
     for order in orders:
-        for reset in (True, False):
-            monkeypatch.setattr(chebyshev, "_pair", None)
-            for case, s in zip(cases, tables):
-                for k in order:
-                    if reset:
-                        monkeypatch.setattr(chebyshev, "_pair", None)
-                    assert cheb_comb(k, *case) == _want(case, s, k), (case, k, order)
-    # two triples interleaved evict each other's pair at every call
+        for case, s in zip(cases, tables):
+            for k in order:
+                assert cheb_comb(k, *case) == _want(case, s, k), (case, k, order)
     for i in range(len(cases) - 1):
         first, second = cases[i], cases[i + 1]
         for k, j in zip(orders[0], orders[2]):
@@ -175,111 +174,32 @@ def _multipliers(ring):
 
 
 @pytest.mark.parametrize("reset", [True, False], ids=["reset", "warm"])
-def test_cheb_comb_is_linear_in_u_and_v(monkeypatch, reset):
+def test_cheb_comb_is_linear_in_u_and_v(reset):
     # cheb_comb(k, tau, u R, v R) = R cheb_comb(k, tau, u, v): a component
-    # report forms a family factor's product with the other factors R so
-    monkeypatch.setattr(chebyshev, "_pair", None)
+    # report forms a family factor's product with the other factors R so.
+    # reset: C_k by its own call from (u, v); warm: C_k as the lower member
+    # of the pair one step on, the value a block collapse keeps
+    def comb(k, tau, u, v):
+        return cheb_comb(k, tau, u, v) if reset else cheb_pair(k + 1, tau, u, v)[1]
+
     for tau, u, v in _comb_cases():
         for r in _multipliers(tau.ring):
-            sides = []
-            for uv in ((u * r, v * r), (u, v)):
-                row = []
-                for k in range(-6, 13):
-                    if reset:
-                        monkeypatch.setattr(chebyshev, "_pair", None)
-                    row.append(cheb_comb(k, tau, *uv))
-                sides.append(row)
+            sides = [[comb(k, tau, *uv) for k in range(-6, 13)] for uv in ((u * r, v * r), (u, v))]
             for k, lhs, rhs in zip(range(-6, 13), *sides):
                 assert lhs == r * rhs, (tau, u, v, r, k)
 
 
-def test_cheb_comb_from_threads_sharing_the_pair(monkeypatch):
-    # the pair is one tuple rebound whole: threads that evict each other's
-    # pair at every switch still get exact values
-    monkeypatch.setattr(chebyshev, "_pair", None)
-    cases = _comb_cases()[-4:]
-    tables = [_s_table(tau, -7, 12) for tau, _, _ in cases]
-    wrong = []
-
-    def work(seed):
-        rng = random.Random(seed)
-        for _ in range(150):
-            i, k = rng.randrange(len(cases)), rng.randint(-6, 12)
-            # a triple built anew is compared by value, which widens the
-            # window between reading the pair and using it
-            tau, u, v = (c if isinstance(c, int) else c + 0 for c in cases[i])
-            if cheb_comb(k, tau, u, v) != _want(cases[i], tables[i], k):
-                wrong.append((i, k))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not wrong
-
-
-def _count_products(monkeypatch):
-    monkeypatch.setattr(chebyshev, "_pair", None)
-    calls = []
-    product = chebyshev._packed_product
-    monkeypatch.setattr(chebyshev, "_packed_product",
-                        lambda *args: calls.append(1) or product(*args))
-    return calls
-
-
-def test_cheb_comb_steps_from_the_kept_pair(monkeypatch):
-    calls = _count_products(monkeypatch)
-    for case in _comb_cases():
-        s = _s_table(case[0], -1, 13)
-        for k in range(1, 13):
-            cheb_comb(k, *case)
-            calls.clear()
-            assert cheb_comb(k - 1, *case) == _want(case, s, k - 1)
-            assert not calls, (case, k)
-            # one step on, up or down, is one product
-            assert cheb_comb(k + 1, *case) == _want(case, s, k + 1)
-            assert len(calls) == 1, (case, k)
-        # a kept pair farther than (C_0, C_{-1}) = (u, v) is not used
-        cheb_comb(12, *case)
-        calls.clear()
-        assert cheb_comb(1, *case) == _want(case, s, 1)
-        assert len(calls) == 1, case
-
-
-def test_an_equal_triple_built_anew_hits_the_kept_pair(monkeypatch):
-    calls = _count_products(monkeypatch)
-    R3 = PolyRing(("x", "y", "z"))
-    X, Y, Z = R3.var("x"), R3.var("y"), R3.var("z")
-    tau, u, v = X * Y - Z, X * Z - Y, X * Y - 2 * Z
-    s = _s_table(tau, -1, 9)
-    cheb_comb(7, tau, u, v)
-    copies = [R3.from_terms(dict(p.terms)) for p in (tau, u, v)]
-    assert all(c is not p and c == p for c, p in zip(copies, (tau, u, v)))
-    calls.clear()
-    assert cheb_comb(6, *copies) == u * s[6] - v * s[5]
-    assert cheb_comb(8, *copies) == u * s[8] - v * s[7]
-    assert len(calls) == 1
-
-
 def test_whitehead_relator_traces_with_cold_and_warm_memos(monkeypatch):
     # W_k = b(4k + 4, 2k + 1): the two relator words collapse one block on
-    # one (tau, u, v) with repeat counts r and r - 1
+    # one (tau, u, v) with repeat counts r and r - 1; the collapse of
+    # a w a^-1 b^-1 keeps the trace of w b^-1
     for k in range(13):
         words = relator_words(riley_word(2 * k + 2, 2 * k + 1))
         cold = []
         for u in words:
             monkeypatch.setattr(traces, "_memo", {})
-            monkeypatch.setattr(chebyshev, "_pair", None)
             cold.append(json.dumps(trace_poly(u).to_json()))
         for order in (words, words[::-1]):
             monkeypatch.setattr(traces, "_memo", {})
-            monkeypatch.setattr(chebyshev, "_pair", None)
             warm = [json.dumps(trace_poly(u).to_json()) for u in order]
             assert warm == (cold if order is words else cold[::-1]), k

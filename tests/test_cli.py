@@ -235,6 +235,25 @@ def test_cache_entry_with_a_bad_term_exit_1(tmp_path, capsys):
         assert code == 1 and out == "" and "malformed" in err, (field, value, err)
 
 
+def test_cache_entry_with_a_huge_exponent_exit_1(tmp_path, capsys):
+    # the fingerprint's power tables would grow with the exponent: the
+    # entry is refused by the word's weight before any is built
+    cache = str(tmp_path / "cache")
+    code, _, _ = run(capsys, "charpoly", "twobridge:5,3", "--cache-dir", cache)
+    assert code == 0
+    entry = os.path.join(cache, "twobridge_5_3.json")
+    with open(entry) as fh:
+        data = json.load(fh)
+    data["full"]["terms"][0]["exp"][0] = 10**9
+    with open(entry, "w") as fh:
+        json.dump(data, fh)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "charpoly", "twobridge:5,3", "--cache-dir", cache)
+    assert code == 1 and out == ""
+    assert "exponent 1000000000, above 12, the weight of its relator word" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_cache_entry_in_other_variables_exit_1(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, _, _ = run(capsys, "charpoly", "twobridge:4,3", "--cache-dir", cache)

@@ -393,3 +393,45 @@ def test_reverse_and_negation_are_served_from_the_memo(monkeypatch):
     left, _ = relator_words(w)
     variant_left, _ = relator_words(w, conjugate_by_inverse=True)
     assert canonical_form(variant_left) == canonical_form(tuple(reversed(left)))
+
+
+def test_whitehead_second_relator_word_is_a_memo_hit(monkeypatch):
+    # W_k = b(4k + 4, 2k + 1): a w a^-1 b^-1 collapses a block with r
+    # repeats, and w b^-1 is the same word with r - 1
+    computed = []
+    compute = traces._compute
+    monkeypatch.setattr(traces, "_compute", lambda u: computed.append(u) or compute(u))
+    for k in range(13):
+        left, right = relator_words(riley_word(2 * k + 2, 2 * k + 1))
+        monkeypatch.setattr(traces, "_memo", {})
+        trace_poly(left)
+        computed.clear()
+        assert trace_poly(right) == trace_poly_oracle(right), k
+        assert not computed, k
+
+
+class _KeptNeighbours(dict):
+    """A memo that records what a collapse stores through setdefault."""
+
+    def __init__(self):
+        super().__init__()
+        self.kept = []
+
+    def setdefault(self, key, value):
+        self.kept.append((key, value))
+        return super().setdefault(key, value)
+
+
+def test_every_kept_neighbour_matches_the_oracle(monkeypatch):
+    specs = [(2 * k + 2, 2 * k + 1) for k in range(13)]
+    specs += [(p, 3) for p in range(4, 23) if p % 3]
+    kept = 0
+    for p, m in specs:
+        for u in relator_words(riley_word(p, m)):
+            memo = _KeptNeighbours()
+            monkeypatch.setattr(traces, "_memo", memo)
+            trace_poly(u)
+            for key, value in memo.kept:
+                assert value == trace_poly_oracle(key), (p, m, key)
+            kept += len(memo.kept)
+    assert kept
