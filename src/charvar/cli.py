@@ -27,8 +27,8 @@ ENGINE_VERSION = "charvar-0.1.0"
 # parenthesized power in it, is above this.
 # At the limit a^200, (ab)^100, (ab^2)^66 and (aB)^100 take 0.2 s on a
 # 2-CPU VM, (abAB)^50 1.4-1.5 s (66 351 terms), and seeded random words
-# 16-22 s, nearly all of it in the walk (56k-70k terms).  Seeded random
-# words of weight 100 take 0.3-0.5 s.
+# 7-11 s, nearly all of it in the walk (53k-70k terms; ten words, exponents
+# +-1..+-3 and +-1).  Seeded random words of weight 100 take 0.3-0.5 s.
 MAX_TRACE_WEIGHT = 200
 
 # `verify` refuses ranges with more points than this, listing at most one

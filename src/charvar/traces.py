@@ -17,8 +17,9 @@ relations g^2 = tr(g) g - 1 and
     ab + ba = tr(a) b + tr(b) a + (tr(ab) - tr(a) tr(b))
 
 make of the group ring (Horowitz, CPAM 1972; Goldman 2009): each
-syllable g^e is S_{e-1}(tr g) g - S_{e-2}(tr g), and the trace of
-p0 + p1 a + p2 b + p3 ab is 2 p0 + x p1 + y p2 + z p3.
+syllable g^e is S_{e-1}(tr g) g - S_{e-2}(tr g), one step by the 4x4
+rows of that element, cached per (generator, exponent, field width),
+and the trace of p0 + p1 a + p2 b + p3 ab is 2 p0 + x p1 + y p2 + z p3.
 
 The memo holds one polynomial per symmetry class.  Its key,
 canonical_form, covers rotations (conjugation) and the inverse.  A
@@ -35,9 +36,11 @@ block search and no product.
 trace_poly_oracle recomputes the same polynomial by multiplying explicit
 SL2 matrices, with every b-letter scaled by c so that all entries are
 polynomials in x, y, c, and rewriting the trace in z = c + 1/c.  It works
-on term maps under packed-int exponent keys, one column pass per letter,
-and builds a single Polynomial at the end; it shares only PolyRing,
-Polynomial and free_reduce with the engine.
+on term maps under packed-int exponent keys, one column pass per term of
+each syllable's matrix power, which it multiplies from its own letter
+matrices and caches per (generator, exponent, field width), and builds a
+single Polynomial at the end; it shares only PolyRing, Polynomial and
+free_reduce with the engine.
 
 Words are tuples of (generator, exponent) syllables with generators in
 {"a", "b"}, nonzero exponents, and distinct adjacent generators.
@@ -350,37 +353,35 @@ def _walk(u):
     """tr u by one left-to-right pass in Z[x, y, z]<1, a, b, ab>.
 
     The running product is p0 + p1 a + p2 b + p3 ab, four term maps under
-    (x, y, z) exponents packed into one int.  A syllable g^e right-
-    multiplies it by S_{e-1}(t) g - S_{e-2}(t), t = tr g, which is g^e by
-    Cayley-Hamilton for either sign of e.  Weighting x and y by 1 and z by
-    2, a prefix of weight k has p0 of degree at most k, p1 and p2 at most
-    k - 1 and p3 at most k - 2, and every partial product stays inside
-    that, so no exponent passes the word's weight, the bound the fields'
-    width and the result take.
+    (x, y, z) exponents packed into one int.  Each syllable g^e right-
+    multiplies it in one step, by the rows of g^e = S_{e-1}(t) g - S_{e-2}(t),
+    t = tr g (Cayley-Hamilton, either sign of e), from _syllable_rows.
+
+    No key carries.  Weight x and y by 1, z by 2, and the basis elements
+    1, a, b, ab by 0, 1, 1, 2; every term of both relations has weight at
+    most 2, so a prefix of weight k has p_j of degree at most k - wt(j).
+    Entry j of _RIGHT's row i has degree at most 1 + wt(j) - wt(i), and
+    S_{e-1} and S_{e-2} have degree at most |e| - 1 and |e|, the latter
+    only on the diagonal, so every term of entry j of row i of g^e has
+    degree at most |e| + wt(j) - wt(i).  Each product a row's step forms
+    then has degree at most k + |e| - wt(i), and so has every term of
+    the partial sums within that row: no exponent passes the word's
+    weight, the bound the fields' width and the result take.
     """
     weight = sum(abs(e) for _, e in u)
     w = _width(weight)
-    shifts = RING._shifts(w)
-    right, trace_row = _walk_rows(w)
-
-    def apply(r, elem):
-        acc = {}
-        for j, coeff in r:
-            acc = _packed_product(coeff, elem[j].items(), acc)
-        return acc
-
     elem = [{0: 1}, {}, {}, {}]
     for gen, exp in u:
-        shift = shifts[0 if gen == "a" else 1]
-        # a key of a polynomial in t alone is its exponent
-        s1 = [(d << shift, c) for d, c in cheb(exp - 1)._packed.items()]
-        s2 = [(d << shift, -c) for d, c in cheb(exp - 2)._packed.items()]
-        moved = [apply(r, elem) for r in right[gen]]
-        elem = [
-            _packed_product(s2, p.items(), _packed_product(s1, q.items()))
-            for p, q in zip(elem, moved)
-        ]
-    return Polynomial(RING, apply(trace_row, elem), weight)
+        elem = [_apply(r, elem) for r in _syllable_rows(gen, exp, w)]
+    return Polynomial(RING, _apply(_walk_rows(w)[1], elem), weight)
+
+
+def _apply(row, elem):
+    """One coordinate of a step: the sum of the row's coefficients times elem's maps."""
+    acc = {}
+    for j, coeff in row:
+        acc = _packed_product(coeff, elem[j].items(), acc)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -392,6 +393,28 @@ def _walk_rows(w):
         return [(j, list(p._at(w).items())) for j, p in enumerate(polys) if p._packed]
 
     return {g: [row(r) for r in m] for g, m in _RIGHT.items()}, row(_TRACE_ROW)
+
+
+@lru_cache(maxsize=None)
+def _syllable_rows(gen, exp, w):
+    """Right multiplication by gen^exp as [(j, packed coefficient)] rows, fields w bits wide.
+
+    Row i, entry j is S_{e-1}(t) times _RIGHT's entry, less S_{e-2}(t) on
+    the diagonal, t = tr gen, formed on packed keys from the per-letter
+    rows and the memoized S_k: for e = 1 these are the per-letter rows,
+    for e = -1 their negation plus t on the diagonal.
+    """
+    letter = _walk_rows(w)[0][gen]
+    shift = RING._shifts(w)[0 if gen == "a" else 1]
+    # a key of a polynomial in t alone is its exponent
+    s1 = [(d << shift, c) for d, c in cheb(exp - 1)._packed.items()]
+    s2 = [(d << shift, -c) for d, c in cheb(exp - 2)._packed.items()]
+    rows = []
+    for i, row in enumerate(letter):
+        entries = {j: _packed_product(s1, coeff) for j, coeff in row}
+        entries[i] = _packed_product(s2, [(0, 1)], entries.get(i))
+        rows.append([(j, list(p.items())) for j, p in sorted(entries.items()) if p])
+    return rows
 
 
 # -- the matrix oracle ---------------------------------------------------------
@@ -414,30 +437,39 @@ _MAT = {
 }
 
 
-def _letter_table(letters):
-    """_MAT as term lists under packed (x, y, c) keys, and an exponent bound.
+def _letter_degree():
+    """The largest exponent in any _MAT entry.
 
-    No entry of a product of `letters` letters has a degree above the
-    table's largest exponent times `letters`, the bound returned, so
-    fields _width(bound) bits wide, as a RING polynomial with that bound
-    has, never carry.  Entries are [(key, coeff)] lists; a zero entry is
-    empty.
+    A product of n letters has no entry of a degree above n times this,
+    so fields _width(n times it) bits wide, as a RING polynomial with that
+    bound has, never carry.
     """
-    polys = {
-        key: [[e if isinstance(e, Polynomial) else _ORACLE_RING.const(e) for e in row] for row in m]
-        for key, m in _MAT.items()
-    }
-    bound = letters * max(max(e) for m in polys.values() for row in m for p in row for e in p.terms)
-    w = _width(bound)
+    return max(
+        max(map(max, p.terms)) for m in _MAT.values() for row in m for p in row
+        if isinstance(p, Polynomial)
+    )
+
+
+@lru_cache(maxsize=None)
+def _power(gen, exp, w):
+    """The matrix of gen^exp, |exp| copies of its letter's _MAT entry multiplied.
+
+    Entries are [(key, coeff)] lists under (x, y, c) keys packed with
+    fields w bits wide; a zero entry is empty.  The product is taken with
+    _column, one letter at a time from the identity.
+    """
     shifts = (2 * w, w, 0)
-    table = {
-        key: [
-            [[(sum(map(lshift, e, shifts)), c) for e, c in p.terms.items()] for p in row]
-            for row in m
+    (l00, l01), (l10, l11) = [
+        [
+            [(sum(map(lshift, e, shifts)), c) for e, c in (_ORACLE_RING.zero() + p).terms.items()]
+            for p in row
         ]
-        for key, m in polys.items()
-    }
-    return table, bound
+        for row in _MAT[(gen, 1 if exp > 0 else -1)]
+    ]
+    rows = [({0: 1}, {}), ({}, {0: 1})]
+    for _ in range(abs(exp)):
+        rows = [(_column(m0, m1, l00, l10), _column(m0, m1, l01, l11)) for m0, m1 in rows]
+    return [[list(m.items()) for m in row] for row in rows]
 
 
 def _column(m0, m1, e0, e1):
@@ -464,30 +496,38 @@ def trace_poly_oracle(word):
 
     The rows of the running product are term maps keyed by (x, y, c)
     exponents packed into one int, each field wide enough for the
-    largest degree the word's letters can reach, so no field carries.
-    Each letter right-multiplies the rows as column operations, one
-    shifted pass per term of a nonzero entry of its matrix.
-
-    With n b-letters the c-scaled product has trace num = c^n tr, and tr
-    is symmetric in c <-> 1/c.  It is rewritten in z = c + 1/c by peeling
-    the top power: with k = deg_c(num) - n, the coefficient lead of
-    c^(k+n) goes out with z^k, and lead c^n z^k = lead (c^2 + 1)^k c^(n-k)
-    leaves num as binomial(k, j) lead at c-degree n - k + 2j.  A residue
-    with k outside [0, n] is not symmetric, which would signal an
-    arithmetic bug, and raises ArithmeticError.  The (x, y) fields are
-    laid out as in a RING polynomial of the table's bound, so z^k takes
-    the place of the c field and the result needs no repacking.
+    largest degree the word's letters can reach.  Each syllable g^e
+    right-multiplies the rows in one step, by _power's matrix of g^e, as
+    column operations: one shifted pass per term of a nonzero entry.  No
+    field carries, since every term a step forms, partial sums included,
+    is a term of a product of at most the word's letters.  With n
+    b-letters the c-scaled product has trace c^n tr, which _peel rewrites
+    in z = c + 1/c.
     """
     word = free_reduce(word)
     n = sum(abs(e) for g, e in word if g == "b")
-    table, bound = _letter_table(sum(abs(e) for _, e in word))
+    bound = sum(abs(e) for _, e in word) * _letter_degree()
+    w = _width(bound)
     rows = [({0: 1}, {}), ({}, {0: 1})]
     for gen, exp in word:
-        (l00, l01), (l10, l11) = table[(gen, 1 if exp > 0 else -1)]
-        for _ in range(abs(exp)):
-            rows = [(_column(m0, m1, l00, l10), _column(m0, m1, l01, l11)) for m0, m1 in rows]
+        (p00, p01), (p10, p11) = _power(gen, exp, w)
+        rows = [(_column(m0, m1, p00, p10), _column(m0, m1, p01, p11)) for m0, m1 in rows]
     num = _column(rows[0][0], rows[1][1], [(0, 1)], [(0, 1)])  # the trace
+    return _peel(num, n, bound)
 
+
+def _peel(num, n, bound):
+    """tr in x, y, z from num = c^n tr, under (x, y, c) keys of _width(bound) bits.
+
+    tr is symmetric in c <-> 1/c.  It is rewritten in z = c + 1/c by
+    peeling the top power: with k = deg_c(num) - n, the coefficient lead
+    of c^(k+n) goes out with z^k, and lead c^n z^k = lead (c^2 + 1)^k c^(n-k)
+    leaves num as binomial(k, j) lead at c-degree n - k + 2j.  A residue
+    with k outside [0, n] is not symmetric, which would signal an
+    arithmetic bug, and raises ArithmeticError.  The (x, y) fields are
+    laid out as in a RING polynomial of that bound, so z^k takes the
+    place of the c field and the result needs no repacking.
+    """
     mask = (1 << _width(bound)) - 1
     by_c = {}  # c-degree -> {packed (x, y) part: coefficient}
     for k, c in num.items():

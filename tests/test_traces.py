@@ -1,11 +1,14 @@
 import random
 import time
+from functools import lru_cache
+from operator import lshift
 
 import pytest
 
 from charvar import cli, traces
 from charvar.links import relator_words, riley_word
 from charvar.numeric import random_rep, trace_agreement, traces_of, word_matrix
+from charvar.polynomials import _width
 from charvar.traces import (
     GAMMA,
     X,
@@ -156,9 +159,11 @@ def test_oracle_matches_engine_on_relator_words():
 
 
 def test_oracle_matches_engine_across_field_widths():
-    # the packed (x, y, c) fields are sized from the letter count: these
-    # words need 9- and 10-bit fields, one generator or both
-    for text in ("a^255", "b^256", "B^129", "(ab)^100", "a^70 b^-65"):
+    # the packed (x, y, c) fields are sized from the letter bound, twice
+    # the letter count: b^511 (bound 1022) runs at 10 bits, all of which
+    # the c^512 of its power needs; b^512 and b^511 a (bound 1024) run at
+    # 11, one more than their c^513 needs
+    for text in ("b^511", "b^512", "b^511 a"):
         w = parse_word(text)
         assert trace_poly_oracle(w) == trace_poly(w), text
 
@@ -220,8 +225,91 @@ def test_oracle_raises_on_asymmetric_residue(monkeypatch):
     # c^2 / c = c has no c^-1 partner, so it is no polynomial in c + 1/c
     c = traces._ORACLE_RING.var("c")
     monkeypatch.setitem(traces._MAT, ("b", 1), ((c**2, 0), (0, 0)))
+    monkeypatch.setattr(traces, "_power", lru_cache(maxsize=None)(traces._power.__wrapped__))
     with pytest.raises(ArithmeticError):
         trace_poly_oracle(parse_word("b"))
+
+
+def _oracle_reference(word):
+    # the oracle as first written, kept to pin traces.trace_poly_oracle:
+    # the rows are right-multiplied by one letter's matrix at a time
+    word = traces.free_reduce(word)
+    n = sum(abs(e) for g, e in word if g == "b")
+    bound = sum(abs(e) for _, e in word) * traces._letter_degree()
+    w = _width(bound)
+    shifts = (2 * w, w, 0)
+    ring = traces._ORACLE_RING
+
+    def entry(p):
+        return [(sum(map(lshift, e, shifts)), c) for e, c in (ring.zero() + p).terms.items()]
+
+    letters = {key: [[entry(p) for p in row] for row in m] for key, m in traces._MAT.items()}
+    column = traces._column
+    rows = [({0: 1}, {}), ({}, {0: 1})]
+    for gen, exp in word:
+        (l00, l01), (l10, l11) = letters[(gen, 1 if exp > 0 else -1)]
+        for _ in range(abs(exp)):
+            rows = [(column(m0, m1, l00, l10), column(m0, m1, l01, l11)) for m0, m1 in rows]
+    num = column(rows[0][0], rows[1][1], [(0, 1)], [(0, 1)])
+    return traces._peel(num, n, bound)
+
+
+def test_oracle_matches_reference():
+    rng = random.Random(1024)
+    words = [random_word(rng, max_syllables=8, max_exp=16) for _ in range(200)]
+    for p in range(4, 23):
+        if p % 3:
+            words.extend(relator_words(riley_word(p, 3)))
+    for w in words:
+        assert trace_poly_oracle(w) == _oracle_reference(w), w
+
+
+def _plant(monkeypatch, name, key, row, extra):
+    # one extra term in the first entry of one row of one cached table
+    table = getattr(traces, name)
+
+    def planted(gen, exp, w):
+        rows = table(gen, exp, w)
+        if (gen, exp) != key:
+            return rows
+        first, *rest = rows[row]
+        return rows[:row] + [[extra(first, w)] + rest] + rows[row + 1 :]
+
+    monkeypatch.setattr(traces, name, planted)
+    monkeypatch.setattr(traces, "_memo", {})
+
+
+def test_planted_walk_row_fault_fails_the_oracle(monkeypatch, capsys):
+    # an extra y in row 0 of the rows of a^-2; the engine walks a rotation
+    # of the word or of its inverse, and meets a^-2 in each of these, so
+    # "a^2 b" is walked as a^-2 B
+    monkeypatch.setattr(traces, "_memo", {})
+    assert cli.main(["trace", "a^2 b"]) == 0
+    clean = capsys.readouterr().out
+    def extra(entry, w):
+        j, coeff = entry
+        return j, coeff + [(1 << traces.RING._shifts(w)[1], 1)]
+
+    _plant(monkeypatch, "_syllable_rows", ("a", -2), 0, extra)
+    for text in ("a^2 b", "a^2 b a^-2 B^2", "a^-2 b^3 a^2 b", "b a^2 B^3 a^-2 b A"):
+        w = parse_word(text)
+        assert trace_poly(w) != trace_poly_oracle(w), text
+    monkeypatch.setattr(traces, "_memo", {})
+    assert cli.main(["trace", "a^2 b"]) == 0
+    assert capsys.readouterr().out != clean
+
+
+def test_planted_oracle_power_fault_fails_the_engine(monkeypatch):
+    # an extra y in entry (0, 0) of the matrix of a^2; on these words the
+    # oracle returns a polynomial, and it is not the engine's
+    _plant(monkeypatch, "_power", ("a", 2), 0, lambda e, w: e + [(1 << w, 1)])
+    for text in ("a^2 b^2", "b^2 a^3 B a^2 b^-3"):
+        w = parse_word(text)
+        assert trace_poly(w) != trace_poly_oracle(w), text
+    # on most words such a fault leaves the trace asymmetric in c, and the
+    # peel refuses it
+    with pytest.raises(ArithmeticError):
+        trace_poly_oracle(parse_word("a^2 b a^-2 B^2"))
 
 
 def test_parse_word_weight_limit():
@@ -303,13 +391,12 @@ def test_walk_matches_oracle_on_random_words():
 
 
 def test_walk_matches_oracle_across_field_widths():
-    # the walk's packed fields are the bit length of the word's weight
-    # wide: a^129 b needs 8 bits for its x^128 and a^257 B 9 for x^256,
-    # so one bit fewer carries into the neighbouring field
-    texts = ["a^%d b" % e for e in (126, 127, 128, 129)]
-    texts += ["a^%d B" % e for e in (254, 255, 256, 257)]
-    texts += ["b^129 A", "a^64 b^65", "a^-130 b^2 A B^-3"]
-    for text in texts:
+    # the walk's packed fields are 10 bits wide up to weight 1023 and the
+    # bit length of the weight above: a^1022 b (weight 1023) runs at 10
+    # bits and its x^1021 needs all of them; a^1023 b (1024) runs at 11,
+    # and a^1024 B and b^1024 A (1025) need the 11th bit for x^1024 and
+    # y^1024, which at 10 bits would carry into the neighbouring field
+    for text in ("a^1022 b", "a^1023 b", "a^1024 B", "b^1024 A"):
         w = parse_word(text)
         assert traces._walk(w) == trace_poly_oracle(w), text
 
