@@ -26,9 +26,10 @@ ENGINE_VERSION = "charvar-0.1.0"
 # `trace` refuses a word whose weight (sum of |exponent|), or that of any
 # parenthesized power in it, is above this.
 # At the limit a^200, (ab)^100, (ab^2)^66 and (aB)^100 take 0.2 s on a
-# 2-CPU VM, (abAB)^50 1.4-1.5 s (66 351 terms), and seeded random words
-# 7-11 s, nearly all of it in the walk (53k-70k terms; ten words, exponents
-# +-1..+-3 and +-1).  Seeded random words of weight 100 take 0.3-0.5 s.
+# 2-CPU VM, (abAB)^50 2.0-2.3 s (66 351 terms; medians of six fresh
+# processes, single runs 1.8-3.4 s), and seeded random words 6-8 s, nearly
+# all of it in the walk (53k-70k terms; ten words, exponents +-1..+-3 and
+# +-1).  Seeded random words of weight 100 take 0.3-0.5 s.
 MAX_TRACE_WEIGHT = 200
 
 # `verify` refuses ranges with more points than this, listing at most one

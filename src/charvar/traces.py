@@ -9,8 +9,8 @@ collapses the longest-saving repeated block by the power identity
 
 one chebyshev.cheb_pair, when that removes at least a quarter of the
 word's weight, so that words like (ba)^n (b^-1 a^-1)^n ... reduce to a
-handful of shorter words.  Every other word, the empty word and single
-syllables included, is walked once, left to right, in
+handful of shorter words.  Every other nonempty word, single syllables
+included, is walked once, left to right, in
 Z[x, y, z]<1, a, b, ab>, the rank-4 algebra the Cayley-Hamilton
 relations g^2 = tr(g) g - 1 and
 
@@ -18,8 +18,10 @@ relations g^2 = tr(g) g - 1 and
 
 make of the group ring (Horowitz, CPAM 1972; Goldman 2009): each
 syllable g^e is S_{e-1}(tr g) g - S_{e-2}(tr g), one step by the 4x4
-rows of that element, cached per (generator, exponent, field width),
-and the trace of p0 + p1 a + p2 b + p3 ab is 2 p0 + x p1 + y p2 + z p3.
+rows of that element, cached per (generator, exponent, field width).
+The trace of p0 + p1 a + p2 b + p3 ab is 2 p0 + x p1 + y p2 + z p3, so
+the walk, rotated to end on the heaviest syllable, takes that syllable
+in one row, this trace row times its rows, and forms only the trace.
 
 The memo holds one polynomial per symmetry class.  Its key,
 canonical_form, covers rotations (conjugation) and the inverse.  A
@@ -38,9 +40,10 @@ SL2 matrices, with every b-letter scaled by c so that all entries are
 polynomials in x, y, c, and rewriting the trace in z = c + 1/c.  It works
 on term maps under packed-int exponent keys, one column pass per term of
 each syllable's matrix power, which it multiplies from its own letter
-matrices and caches per (generator, exponent, field width), and builds a
-single Polynomial at the end; it shares only PolyRing, Polynomial and
-free_reduce with the engine.
+matrices and caches per (generator, exponent, field width).  It too
+ends on the heaviest syllable and forms only the diagonal sum of that
+last product, then builds a single Polynomial; it shares only PolyRing,
+Polynomial and free_reduce with the engine.
 
 Words are tuples of (generator, exponent) syllables with generators in
 {"a", "b"}, nonzero exponents, and distinct adjacent generators.
@@ -111,8 +114,10 @@ def parse_word(text, max_weight=None):
     """Parse a word: lowercase = generator, uppercase = inverse.
 
     Supports optional ^k exponents (k a possibly negative integer) and
-    parenthesized blocks like "(ba)^3".  Whitespace is ignored.  The
-    result is freely reduced.
+    parenthesized blocks like "(ba)^3".  Whitespace may separate
+    syllables and blocks, but not an exponent from its generator or ")",
+    and it may not split an exponent: "a ^2", "a^ 2", "(ab) ^2" and
+    "a^- 2" raise ValueError.  The result is freely reduced.
 
     With max_weight set, a word whose weight (sum of |exponent|) is above
     it raises ValueError, and so does any parenthesized power whose own
@@ -352,10 +357,16 @@ _TRACE_ROW = (2, X, Y, Z)
 def _walk(u):
     """tr u by one left-to-right pass in Z[x, y, z]<1, a, b, ab>.
 
-    The running product is p0 + p1 a + p2 b + p3 ab, four term maps under
-    (x, y, z) exponents packed into one int.  Each syllable g^e right-
-    multiplies it in one step, by the rows of g^e = S_{e-1}(t) g - S_{e-2}(t),
-    t = tr g (Cayley-Hamilton, either sign of e), from _syllable_rows.
+    The word is rotated to end on its heaviest syllable, the first with
+    the largest |e|; a rotation is a conjugate, with the same trace.  The
+    running product is p0 + p1 a + p2 b + p3 ab, four term maps under
+    (x, y, z) exponents packed into one int.  Each syllable but the last,
+    g^e, right-multiplies it in one step, by the rows of
+    g^e = S_{e-1}(t) g - S_{e-2}(t), t = tr g (Cayley-Hamilton, either
+    sign of e), from _syllable_rows.  The last one forms only the trace,
+    sum_j p_j F_j with F_j = sum_i T_i R_ij, _TRACE_ROW T times that
+    syllable's rows R (_end_row), so the heaviest step builds one map
+    instead of four.
 
     No key carries.  Weight x and y by 1, z by 2, and the basis elements
     1, a, b, ab by 0, 1, 1, 2; every term of both relations has weight at
@@ -365,15 +376,24 @@ def _walk(u):
     only on the diagonal, so every term of entry j of row i of g^e has
     degree at most |e| + wt(j) - wt(i).  Each product a row's step forms
     then has degree at most k + |e| - wt(i), and so has every term of
-    the partial sums within that row: no exponent passes the word's
-    weight, the bound the fields' width and the result take.
+    the partial sums within that row.  T_i has degree wt(i), so F_j has
+    degree at most |e| + wt(j), and each product of the end step, with
+    k = weight - |e|, has degree at most the weight; an F_j whose
+    degree is above it meets p_j = 0 and forms no term.  No exponent
+    passes the word's weight, the bound the fields' width and the
+    result take.
     """
-    weight = sum(abs(e) for _, e in u)
+    if not u:
+        return Polynomial(RING, {0: 2}, 0)
+    sizes = [abs(e) for _, e in u]
+    weight = sum(sizes)
     w = _width(weight)
+    i = sizes.index(max(sizes)) + 1
+    *head, last = u[i:] + u[:i]
     elem = [{0: 1}, {}, {}, {}]
-    for gen, exp in u:
+    for gen, exp in head:
         elem = [_apply(r, elem) for r in _syllable_rows(gen, exp, w)]
-    return Polynomial(RING, _apply(_walk_rows(w)[1], elem), weight)
+    return Polynomial(RING, _apply(_end_row(*last, w), elem), weight)
 
 
 def _apply(row, elem):
@@ -415,6 +435,20 @@ def _syllable_rows(gen, exp, w):
         entries[i] = _packed_product(s2, [(0, 1)], entries.get(i))
         rows.append([(j, list(p.items())) for j, p in sorted(entries.items()) if p])
     return rows
+
+
+def _end_row(gen, exp, w):
+    """_TRACE_ROW times the rows of gen^exp: tr(M gen^exp) as one row on M's coordinates.
+
+    Built on each call from _syllable_rows; each _TRACE_ROW entry is a
+    single term, so this shifts and scales at most 16 entries.
+    """
+    rows = _syllable_rows(gen, exp, w)
+    fused = {}
+    for i, t in _walk_rows(w)[1]:
+        for j, coeff in rows[i]:
+            fused[j] = _packed_product(t, coeff, fused.get(j))
+    return [(j, list(p.items())) for j, p in sorted(fused.items()) if p]
 
 
 # -- the matrix oracle ---------------------------------------------------------
@@ -472,9 +506,13 @@ def _power(gen, exp, w):
     return [[list(m.items()) for m in row] for row in rows]
 
 
-def _column(m0, m1, e0, e1):
-    """m0 * e0 + m1 * e1: one shifted pass per term of each entry."""
-    out = {}
+def _column(m0, m1, e0, e1, out=None):
+    """m0 * e0 + m1 * e1: one shifted pass per term of each entry.
+
+    With out given, the sum is added into that map in place; use the
+    returned map.
+    """
+    out = {} if out is None else out
     for src, entry in ((m0, e0), (m1, e1)):
         for ke, ce in entry:
             if not out:  # a shift into an empty map never merges two terms
@@ -500,20 +538,30 @@ def trace_poly_oracle(word):
     right-multiplies the rows in one step, by _power's matrix of g^e, as
     column operations: one shifted pass per term of a nonzero entry.  No
     field carries, since every term a step forms, partial sums included,
-    is a term of a product of at most the word's letters.  With n
-    b-letters the c-scaled product has trace c^n tr, which _peel rewrites
-    in z = c + 1/c.
+    is a term of a product of at most the word's letters.  The word is
+    first rotated to end on its heaviest syllable, the first with the
+    largest |e|, which leaves the trace as it is, and that syllable's step
+    forms only the trace: m00 p00 + m01 p10 + m10 p01 + m11 p11 in one
+    map, for rows m and the power's matrix p.  With n b-letters the
+    c-scaled product has trace c^n tr, which _peel rewrites in
+    z = c + 1/c.
     """
     word = free_reduce(word)
+    if not word:
+        return Polynomial(RING, {0: 2}, 0)
     n = sum(abs(e) for g, e in word if g == "b")
-    bound = sum(abs(e) for _, e in word) * _letter_degree()
+    sizes = [abs(e) for _, e in word]
+    bound = sum(sizes) * _letter_degree()
     w = _width(bound)
+    i = sizes.index(max(sizes)) + 1
+    *head, last = word[i:] + word[:i]
     rows = [({0: 1}, {}), ({}, {0: 1})]
-    for gen, exp in word:
+    for gen, exp in head:
         (p00, p01), (p10, p11) = _power(gen, exp, w)
         rows = [(_column(m0, m1, p00, p10), _column(m0, m1, p01, p11)) for m0, m1 in rows]
-    num = _column(rows[0][0], rows[1][1], [(0, 1)], [(0, 1)])  # the trace
-    return _peel(num, n, bound)
+    (p00, p01), (p10, p11) = _power(*last, w)
+    (m00, m01), (m10, m11) = rows
+    return _peel(_column(m10, m11, p01, p11, _column(m00, m01, p00, p10)), n, bound)
 
 
 def _peel(num, n, bound):

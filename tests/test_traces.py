@@ -41,8 +41,20 @@ def test_parse_word():
         parse_word("(ab")
 
 
+def test_parse_word_whitespace_separates_syllables_and_blocks(capsys):
+    assert parse_word(" a  b^2\tA \n(ab)^2 ( B a ) ") == parse_word("ab^2A(ab)^2(Ba)")
+    # an exponent stays joined to its generator or ')', and is not split
+    for text in ("a ^2", "a^ 2", "(ab) ^2", "a^- 2"):
+        with pytest.raises(ValueError):
+            parse_word(text)
+        assert cli.main(["trace", text]) == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_base_cases():
     assert trace_poly(()) == 2
+    assert traces._walk(()) == 2
+    assert trace_poly_oracle(()) == 2
     assert trace_poly(parse_word("a")) == X
     assert trace_poly(parse_word("b")) == Y
     assert trace_poly(parse_word("ab")) == Z
@@ -310,6 +322,72 @@ def test_planted_oracle_power_fault_fails_the_engine(monkeypatch):
     # peel refuses it
     with pytest.raises(ArithmeticError):
         trace_poly_oracle(parse_word("a^2 b a^-2 B^2"))
+
+
+# both sides end on the heaviest syllable, the first with the largest |e|:
+# here it is first, in the middle, last, tied with later ones, and tied
+# across the ends of a word that is not cyclically reduced
+END_STEP_WORDS = (
+    "a^5 b A^2 B^3",
+    "a b^2 A^6 B^3 a^2 b",
+    "a B^2 a^3 b^-7",
+    "a^4 b^2 A^4 B^4 a b^4",
+    "b^3 a B^2 A b^-3",
+)
+
+
+def _heaviest(word):
+    return max(word, key=lambda syllable: abs(syllable[1]))
+
+
+def test_end_step_matches_oracle_wherever_the_heaviest_syllable_is():
+    for text in END_STEP_WORDS:
+        w = parse_word(text)
+        reference = _oracle_reference(w)
+        assert traces._walk(w) == reference, text
+        assert trace_poly(w) == reference, text
+        assert trace_poly_oracle(w) == reference, text
+
+
+def test_end_step_matches_oracle_on_single_syllables():
+    # the whole walk and the whole oracle are their end step; a^1023 and
+    # b^1023 fill the 10-bit fields, and the end row's y^1024 term of b^1023
+    # meets p2 = 0, so it forms no term
+    words = [((gen, sign * e),) for gen in "ab" for sign in (1, -1) for e in range(1, 17)]
+    for w in words:
+        reference = _oracle_reference(w)
+        assert traces._walk(w) == reference, w
+        assert trace_poly_oracle(w) == reference, w
+    for text in ("a^1023", "b^1023"):
+        w = parse_word(text)
+        assert traces._walk(w) == trace_poly_oracle(w), text
+
+
+def test_planted_end_row_fault_fails_the_oracle(monkeypatch):
+    # an extra y in row 0 of the rows of the syllable the walk ends on, the
+    # heaviest of the canonical word, which occurs once in each word
+    def extra(entry, w):
+        j, coeff = entry
+        return j, coeff + [(1 << traces.RING._shifts(w)[1], 1)]
+
+    for text in END_STEP_WORDS[:3]:
+        w = parse_word(text)
+        _plant(monkeypatch, "_syllable_rows", _heaviest(canonical_form(w)), 0, extra)
+        assert trace_poly(w) != trace_poly_oracle(w), text
+        monkeypatch.undo()
+
+
+def test_planted_end_power_fault_fails_the_engine(monkeypatch):
+    # an extra y in entry (0, 0) of the matrix of the syllable the oracle
+    # ends on: the oracle differs from the engine or refuses the residue
+    for text in END_STEP_WORDS[:3]:
+        w = parse_word(text)
+        _plant(monkeypatch, "_power", _heaviest(w), 0, lambda e, width: e + [(1 << width, 1)])
+        try:
+            assert trace_poly_oracle(w) != trace_poly(w), text
+        except ArithmeticError:
+            pass
+        monkeypatch.undo()
 
 
 def test_parse_word_weight_limit():

@@ -372,3 +372,29 @@ def test_correct_variants_pass_the_fingerprint():
             assert relator_fingerprint(*links.relator_words(w), poly), (p, m)
             for fault in PLANTED_FAULTS.values():
                 assert not twobridge_fingerprint(links.TwoBridge(p, m), fault(poly)), (p, m)
+
+
+def test_certified_irreducible_factors_are_irreducible_over_q():
+    # an independent check of the certificates on a fixed sample: every
+    # factor certified as one component is irreducible over Q for sympy
+    sympy = pytest.importorskip("sympy")
+    reports = [
+        count_components_pretzel(m, n)
+        for m, n in ((2, 2), (-2, 3), (3, -3), (-3, -2), (2, -1), (-3, -1), (1, 4))
+    ]
+    reports += [verify_twisted_whitehead(k) for k in range(7)]
+    reports += [verify_twobridge3(p) for p in (4, 5, 7, 8, 10, 11)]
+    checked = 0
+    for report in reports:
+        for f in report.factors:
+            if f.kind == "cheb_linear_family":
+                continue  # parallel level sets, one per root: reducible over Q
+            assert f.cert_ok and f.components == 1, (report.link, f.kind)
+            syms = sympy.symbols(f.poly.ring.names)
+            expr = sympy.Add(
+                *(c * sympy.Mul(*(v**k for v, k in zip(syms, e))) for e, c in f.poly.terms.items())
+            )
+            _, factors = sympy.factor_list(expr, *syms)
+            assert [m for _, m in factors] == [1], (report.link, f.poly, factors)
+            checked += 1
+    assert checked == 2 * len(reports)  # the surface and one more factor per link
