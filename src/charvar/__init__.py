@@ -47,7 +47,6 @@ from .traces import (
 )
 from .varieties import (
     ComponentReport,
-    DegenerateExplicit,
     FactorCertificate,
     LinearInVariable,
     SquareObstruction,

@@ -31,12 +31,7 @@ def cheb(k):
     The memo only ever stores the (immutable) result for an index, so
     concurrent callers observe identical values.
     """
-    if k < -1:
-        return -cheb(-k - 2)
-    s_prev, s = T_RING.zero(), T_RING.one()  # S_{-1}, S_0
-    for _ in range(k + 1):
-        s_prev, s = s, T * s - s_prev
-    return s_prev
+    return cheb_at(k, T)
 
 
 def cheb_at(k, value):

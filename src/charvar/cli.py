@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import islice
 
-from . import links, numeric, varieties
+from . import links, varieties
 from .polynomials import from_json
 from .traces import RING, parse_word, trace_poly
 
@@ -177,34 +177,25 @@ def _cache_dir(args):
     return None if args.no_cache else args.cache_dir
 
 
-# `verify --seed` spot-checks two-bridge links up to this p numerically
-MAX_SPOT_CHECK_P = 9
-
-
-def _spot_checked(link):
-    """Whether `verify --seed` runs the numeric spot check at this link."""
-    if isinstance(link, links.Pretzel):
-        return False
-    return links.as_two_bridge(link).p <= MAX_SPOT_CHECK_P
-
-
 def _verify_point(seed, cache_dir, link):
     rep, expected = _counted(link)
     row = rep.to_json()
     row["expected_count"] = expected
     ok = rep.ok() and rep.component_count == expected
-    if not isinstance(link, links.Pretzel):
+    if not isinstance(link, links.Pretzel) and (cache_dir is not None or seed is not None):
         tb = links.as_two_bridge(link)
+        # the word polynomial the report checked, from the trace memo
+        full = links.char_poly_twobridge(tb.p, tb.m).full
         if cache_dir is not None:
             cached = cached_char_poly(tb.p, tb.m, cache_dir)
-            full = links.char_poly_twobridge(tb.p, tb.m).full
             if cached != full and cached != -full:
                 row["notes"].append("cached polynomial mismatch")
                 ok = False
-        if seed is not None and _spot_checked(link):
-            resid = numeric.relator_residual(tb, numeric.random_rep(seed))
-            row["numeric_residual"] = resid
-            ok = ok and resid < 1e-6
+        # the report's fingerprint again, at the pair the seed draws
+        if seed is not None and not varieties.twobridge_fingerprint(tb, full, seed):
+            row["notes"].append("defining polynomial fails its mod-P fingerprint at --seed %d"
+                                % seed)
+            ok = False
     row["pass"] = bool(ok)
     return row
 
@@ -224,15 +215,12 @@ def _run_points(fn, points, jobs):
 
 def _print_rows(rows, fmt):
     if fmt == "json":
-        print(json.dumps(rows, indent=2, default=float))
+        print(json.dumps(rows, indent=2))
         return
     for row in rows:
         status = "pass" if row["pass"] else "FAIL"
-        extras = ""
-        if "numeric_residual" in row:
-            extras = " residual=%.2e" % row["numeric_residual"]
         print(
-            "%-18s count=%d expected=%d sign=%+d product=%s certificates=%s %s%s"
+            "%-18s count=%d expected=%d sign=%+d product=%s certificates=%s %s"
             % (
                 row["link"],
                 row["component_count"],
@@ -241,7 +229,6 @@ def _print_rows(rows, fmt):
                 row["product_check"],
                 row["certificates_ok"],
                 status,
-                extras,
             )
         )
 
@@ -323,10 +310,9 @@ def cmd_verify(args):
         raise ValueError("the given ranges contain more points than the limit of %d"
                          % MAX_VERIFY_POINTS)
     rows = _run_points(partial(_verify_point, args.seed, cache_dir), points, args.jobs)
-    if args.seed is not None and not any(map(_spot_checked, points)):
-        print("note: --seed %d was not used: no point in the range gets the numeric"
-              " spot check (two-bridge links with p <= %d)" % (args.seed, MAX_SPOT_CHECK_P),
-              file=sys.stderr)
+    if args.seed is not None and args.family == "1":
+        print("note: --seed %d was not used: pretzel links have no relator word to check"
+              % args.seed, file=sys.stderr)
     _print_rows(rows, args.format)
     return 0 if all(row["pass"] for row in rows) else 1
 
@@ -366,7 +352,8 @@ def build_parser():
     p_ver.add_argument("--p", default="4..22", help="two-bridge p range")
     p_ver.add_argument("--k", default="0..10", help="twist count range")
     p_ver.add_argument("--seed", type=int, default=None,
-                       help="enables a numeric spot check at small p")
+                       help="re-runs each two-bridge row's mod-P fingerprint at a pair"
+                            " drawn from this seed")
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="worker processes, at most one per point and per CPU")
     p_ver.add_argument("--cache-dir", default=None)

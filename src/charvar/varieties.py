@@ -11,8 +11,6 @@ polynomial given to it:
     under v^2 -> w is certified irreducible, and the v = 0 slice is not a
     perfect square up to a constant, which rules out the one remaining
     factorization shape (f v + g)(-f v + g);
-  * DegenerateExplicit(note): a recorded fact with no further checks,
-    used for the quoted shift-invariant families.
 
 Certificates that need a change of variables (x restricted to x z - y,
 triangular moves, the x <-> x +- y rotation) construct the transformed
@@ -23,7 +21,8 @@ in the diagnostic.
 A two-bridge report also checks its word polynomial, which the trace
 memo serves, against 2x2 matrix products mod the prime 2^61 - 1 at one
 seeded pair, taken along the conjugate relator words a^-1 w a b^-1 and
-w b^-1 (twobridge_fingerprint).
+w b^-1 (twobridge_fingerprint); `verify --seed S` runs it again at the
+pair S draws.
 
 A Chebyshev family factor u S_k(inner) - v S_{k-1}(inner) enters the
 exact product as the same combination of u R and v R, R the product of
@@ -58,11 +57,6 @@ class SquareObstruction:
     var: str
 
 
-@dataclass(frozen=True)
-class DegenerateExplicit:
-    note: str
-
-
 @dataclass
 class CertResult:
     ok: bool
@@ -78,8 +72,6 @@ def check_certificate(cert, poly):
         return _check_linear(cert.var, poly)
     if isinstance(cert, SquareObstruction):
         return _check_square_obstruction(cert.var, poly, image_result=None)
-    if isinstance(cert, DegenerateExplicit):
-        return CertResult(True, ["recorded fact: %s" % cert.note])
     raise TypeError("unknown certificate kind: %r" % (cert,))
 
 
@@ -341,13 +333,13 @@ def _mul_mod(m, n):
 
 
 @cache
-def _fingerprint_pair():
+def _fingerprint_pair(seed=FINGERPRINT_SEED):
     """A seeded pair in SL2(F_P) as {letter: matrix}, and its (tr A, tr B, tr AB).
 
-    Built on first use.  Each matrix draws a != 0, b and c, and solves
-    a d - b c = 1 for d.
+    Built on first use, once per seed.  Each matrix draws a != 0, b and
+    c, and solves a d - b c = 1 for d.
     """
-    rng = random.Random(FINGERPRINT_SEED)
+    rng = random.Random(seed)
     p = FINGERPRINT_PRIME
 
     def draw():
@@ -383,8 +375,8 @@ def _family_fingerprint(f):
             == f.univariate.evaluate_mod((at_inner,), FINGERPRINT_PRIME))
 
 
-def relator_fingerprint(left, right, poly):
-    """Whether poly = +-(P_left - P_right) holds mod P at the seeded pair, exactly.
+def relator_fingerprint(left, right, poly, seed=FINGERPRINT_SEED):
+    """Whether poly = +-(P_left - P_right) holds mod P at the pair seed draws, exactly.
 
     tr left - tr right comes from 2x2 integer products mod the prime
     P = 2^61 - 1, and poly is evaluated mod P, once, at (tr A, tr B, tr AB);
@@ -393,16 +385,16 @@ def relator_fingerprint(left, right, poly):
     checks a polynomial the memo served.  A wrong poly agrees at a random
     pair with probability of order 2 deg(poly) / P (Schwartz-Zippel).
     """
-    letters, point = _fingerprint_pair()
+    letters, point = _fingerprint_pair(seed)
     difference = (_trace_mod(left, letters) - _trace_mod(right, letters)) % FINGERPRINT_PRIME
     value = poly.evaluate_mod(point, FINGERPRINT_PRIME)
     return value in (difference, -difference % FINGERPRINT_PRIME)
 
 
-def twobridge_fingerprint(tb, poly):
+def twobridge_fingerprint(tb, poly, seed=FINGERPRINT_SEED):
     """relator_fingerprint of poly for the two-bridge link tb, along a^-1 w a b^-1 and w b^-1."""
     w = links.riley_word(tb.p, tb.m)
-    return relator_fingerprint(*links.relator_words(w, conjugate_by_inverse=True), poly)
+    return relator_fingerprint(*links.relator_words(w, conjugate_by_inverse=True), poly, seed)
 
 
 def _report(link, factors, full, fingerprint_ok=True, notes=()):

@@ -89,12 +89,14 @@ def test_components_detects_whitehead_twobridge(capsys):
 
 
 def test_verify_twobridge_with_seed_and_json(capsys):
-    code, out, _ = run(capsys, "verify", "2", "--p", "4..5", "--seed", "11", "--format", "json")
-    assert code == 0
+    argv = ("verify", "2", "--p", "4..5", "--format", "json")
+    code, out, err = run(capsys, *argv, "--seed", "11")
+    assert code == 0 and err == ""
     rows = json.loads(out)
     assert [r["link"] for r in rows] == ["twobridge:4,3", "twobridge:5,3"]
-    assert all(r["pass"] for r in rows)
-    assert all(r["numeric_residual"] < 1e-6 for r in rows)
+    assert all(r["pass"] and r["notes"] == [] for r in rows)
+    # a passing seeded fingerprint adds nothing to a row
+    assert (code, out) == run(capsys, *argv)[:2]
 
 
 def test_cache_round_trip_and_corruption(tmp_path, capsys):
@@ -180,7 +182,7 @@ def test_verify_whitehead_cache_and_seed(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)
     assert [r["link"] for r in rows] == ["whitehead:0", "whitehead:1"]
-    assert all(r["pass"] and r["numeric_residual"] < 1e-6 for r in rows)
+    assert all(r["pass"] and r["notes"] == [] for r in rows)
 
     # a hit is compared up to sign: the negated entry still passes
     entry = os.path.join(cache, "twobridge_4_3.json")
@@ -565,20 +567,39 @@ def test_verify_huge_negative_twobridge_bounds(capsys, monkeypatch):
 
 
 def test_verify_says_when_the_seed_is_unused(capsys):
-    # no point of these ranges gets the numeric spot check
-    for argv in (
-        ("verify", "1", "--m", "1..1", "--n", "2..2", "--seed", "3"),
-        ("verify", "2", "--p", "10..11", "--seed", "3"),
-    ):
-        code, out, err = run(capsys, *argv)
-        plain = run(capsys, *argv[:-2])
-        assert (code, out) == plain[:2] and code == 0, argv
-        assert err.count("\n") == 1 and "--seed 3 was not used" in err, (argv, err)
-        assert plain[2] == ""
-    # one point at p <= 9 uses it, and nothing is printed
-    code, out, err = run(capsys, "verify", "2", "--p", "8..10", "--seed", "3", "--format", "json")
-    assert code == 0 and err == ""
-    assert ["numeric_residual" in row for row in json.loads(out)] == [True, False]
+    # pretzel links have no relator word, so no row uses the seed
+    argv = ("verify", "1", "--m", "1..1", "--n", "2..2", "--seed", "3")
+    code, out, err = run(capsys, *argv)
+    plain = run(capsys, *argv[:-2])
+    assert (code, out) == plain[:2] and code == 0
+    assert err.count("\n") == 1 and "--seed 3 was not used" in err, err
+    assert plain[2] == ""
+    # every two-bridge row uses it, at any p, and nothing is printed
+    for argv in (("verify", "2", "--p", "10..11"),
+                 ("verify", "3", "--k", "4..4", "--format", "json")):
+        code, out, err = run(capsys, *argv, "--seed", "3")
+        assert (code, out, err) == run(capsys, *argv) and code == 0, argv
+
+
+def test_verify_seed_reruns_the_fingerprint_at_its_own_pair(monkeypatch, capsys):
+    # a fingerprint that fails only away from the report's pair
+    fingerprint = cli.varieties.twobridge_fingerprint
+    seeds = []
+
+    def planted(tb, poly, seed=cli.varieties.FINGERPRINT_SEED):
+        seeds.append(seed)
+        return seed == cli.varieties.FINGERPRINT_SEED and fingerprint(tb, poly, seed)
+
+    monkeypatch.setattr(cli.varieties, "twobridge_fingerprint", planted)
+    code, out, err = run(capsys, "verify", "2", "--p", "10..10")
+    assert code == 0 and "pass" in out and err == ""
+    assert seeds == [cli.varieties.FINGERPRINT_SEED]
+    code, out, err = run(capsys, "verify", "2", "--p", "10..10", "--seed", "3")
+    assert code == 1 and "FAIL" in out and err == ""
+    code, out, _ = run(capsys, "verify", "2", "--p", "10..10", "--seed", "3", "--format", "json")
+    (row,) = json.loads(out)
+    assert code == 1 and not row["pass"] and row["product_check"]
+    assert row["notes"] == ["defining polynomial fails its mod-P fingerprint at --seed 3"]
 
 
 @pytest.mark.parametrize("fault", PLANTED_FAULTS.values(), ids=list(PLANTED_FAULTS))

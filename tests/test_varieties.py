@@ -1,12 +1,11 @@
 import pytest
 
-from charvar import links
+from charvar import links, varieties
 from charvar.chebyshev import cheb, cheb_at
 from charvar.links import REDUCIBLE_SURFACE
 from charvar.polynomials import PolyRing
 from charvar.traces import GAMMA, RING, X, Y, Z, parse_word, trace_poly, word_concat
 from charvar.varieties import (
-    DegenerateExplicit,
     LinearInVariable,
     SquareObstruction,
     certify_pretzel_extra_twist,
@@ -62,11 +61,6 @@ def test_certificate_square_obstruction_fails_on_square_slice():
     # obstruction must refuse to certify
     res = check_certificate(SquareObstruction("z"), X**2 - Y**2 * Z**2)
     assert not res.ok
-
-
-def test_certificate_degenerate_note():
-    res = check_certificate(DegenerateExplicit("recorded"), X)
-    assert res.ok
 
 
 def test_certificate_square_obstruction_with_w_in_ring():
@@ -372,6 +366,26 @@ def test_correct_variants_pass_the_fingerprint():
             assert relator_fingerprint(*links.relator_words(w), poly), (p, m)
             for fault in PLANTED_FAULTS.values():
                 assert not twobridge_fingerprint(links.TwoBridge(p, m), fault(poly)), (p, m)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_seeded_fingerprint_fails_every_planted_fault(seed):
+    for p in (10, 22, 37):
+        tb = links.TwoBridge(p, 3)
+        full = links.char_poly_twobridge(p, 3).full
+        assert twobridge_fingerprint(tb, full, seed) and twobridge_fingerprint(tb, -full, seed)
+        for name, fault in PLANTED_FAULTS.items():
+            assert not twobridge_fingerprint(tb, fault(full), seed), (p, name)
+
+
+def test_fingerprint_pair_is_drawn_from_its_seed():
+    prime = varieties.FINGERPRINT_PRIME
+    default, other = varieties._fingerprint_pair(), varieties._fingerprint_pair(3)
+    assert other != default and other is varieties._fingerprint_pair(3)
+    letters, _ = other
+    for gen in "ab":
+        a, b, c, d = letters[(gen, 1)]
+        assert (a * d - b * c) % prime == 1, gen
 
 
 def test_certified_irreducible_factors_are_irreducible_over_q():
