@@ -1,9 +1,9 @@
 """Command-line front end: trace, charpoly, components, verify.
 
 Exit codes: 0 when every requested check passes, 1 on any verification
-mismatch (including a corrupt cache entry or a count other than the
-paper's), 2 on invalid input (including an unusable cache directory and
-a word nested too deeply).
+mismatch (a corrupt cache entry, a polynomial failing its fingerprint or
+a count other than the paper's included), 2 on invalid input (including
+an unusable cache directory and a word nested too deeply).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ MAX_TWOBRIDGE_P = 37  # p of twobridge:p,m and of verify 2's b(2p, 3)
 MAX_WHITEHEAD_K = 24  # k of whitehead:k
 
 
-class CacheError(Exception):
-    pass
+class CheckError(Exception):
+    """A check failed: a bad cache entry, or a polynomial that fails its fingerprint."""
 
 
 # -- cache ------------------------------------------------------------------
@@ -65,7 +65,7 @@ def cached_char_poly(p, m, cache_dir=None):
     An entry from another engine version is recomputed; one that cannot
     be parsed, whose recorded (p, m) is not its key, whose polynomial is
     not in the variables (x, y, z), or that has an exponent above the
-    weight of the left relator word, raises CacheError.  Nothing else
+    weight of the left relator word, raises CheckError.  Nothing else
     about a hit is checked here: `charpoly` checks it, up to sign, by the
     relator's mod-P fingerprint, and `verify` compares it, up to sign,
     with the word polynomial its report has matched to the certified
@@ -80,22 +80,22 @@ def cached_char_poly(p, m, cache_dir=None):
             with open(path) as fh:
                 data = json.load(fh)
         except (ValueError, OSError) as exc:
-            raise CacheError("corrupt cache entry %s: %s" % (path, exc)) from None
+            raise CheckError("corrupt cache entry %s: %s" % (path, exc)) from None
         if not isinstance(data, dict):
-            raise CacheError("malformed cache entry %s: not an object" % path)
+            raise CheckError("malformed cache entry %s: not an object" % path)
         if data.get("engine") == ENGINE_VERSION:
             if (data.get("p"), data.get("m")) != (p, m):
-                raise CacheError("cache entry %s is for (p, m) = (%r, %r), not (%d, %d)"
+                raise CheckError("cache entry %s is for (p, m) = (%r, %r), not (%d, %d)"
                                  % (path, data.get("p"), data.get("m"), p, m))
             try:
                 full = from_json(data["full"], RING)
             except (KeyError, TypeError, ValueError) as exc:
-                raise CacheError("malformed cache entry %s: %s" % (path, exc)) from None
+                raise CheckError("malformed cache entry %s: %s" % (path, exc)) from None
             # no exponent of a trace polynomial is above its word's weight,
             # and a checker's power tables grow with the largest exponent
             weight = sum(abs(e) for _, e in links.relator_words(links.riley_word(p, m))[0])
             if full._top > weight:
-                raise CacheError("cache entry %s has exponent %d, above %d, the weight of"
+                raise CheckError("cache entry %s has exponent %d, above %d, the weight of"
                                  " its relator word" % (path, full._top, weight))
             return full
         # stale engine version: recompute and overwrite below
@@ -174,7 +174,7 @@ def _cache_dir(args):
     """The cache directory a command uses, or None; an empty --cache-dir is invalid."""
     if args.cache_dir == "":
         raise ValueError("--cache-dir must not be empty")
-    return None if args.no_cache else args.cache_dir
+    return args.cache_dir
 
 
 def _verify_point(seed, cache_dir, link):
@@ -182,20 +182,17 @@ def _verify_point(seed, cache_dir, link):
     row = rep.to_json()
     row["expected_count"] = expected
     ok = rep.ok() and rep.component_count == expected
-    if not isinstance(link, links.Pretzel) and (cache_dir is not None or seed is not None):
+    if cache_dir is not None and not isinstance(link, links.Pretzel):
         tb = links.as_two_bridge(link)
-        # the word polynomial the report checked, from the trace memo
-        full = links.char_poly_twobridge(tb.p, tb.m).full
-        if cache_dir is not None:
-            cached = cached_char_poly(tb.p, tb.m, cache_dir)
-            if cached != full and cached != -full:
-                row["notes"].append("cached polynomial mismatch")
-                ok = False
-        # the report's fingerprint again, at the pair the seed draws
-        if seed is not None and not varieties.twobridge_fingerprint(tb, full, seed):
-            row["notes"].append("defining polynomial fails its mod-P fingerprint at --seed %d"
-                                % seed)
+        cached = cached_char_poly(tb.p, tb.m, cache_dir)
+        if cached != rep.full and cached != -rep.full:
+            row["notes"].append("cached polynomial mismatch")
             ok = False
+    # the fingerprint again, at the pair the seed draws
+    if seed is not None and not varieties.relator_fingerprint(links.relator_word(link),
+                                                              rep.full, seed):
+        row["notes"].append("defining polynomial fails its mod-P fingerprint at --seed %d" % seed)
+        ok = False
     row["pass"] = bool(ok)
     return row
 
@@ -249,10 +246,8 @@ def cmd_charpoly(args):
     else:
         tb = links.as_two_bridge(spec)
         poly = cached_char_poly(tb.p, tb.m, cache_dir)
-        # a hit is returned as read; the relator's fingerprint checks it, up to sign
-        if cache_dir is not None and not varieties.twobridge_fingerprint(tb, poly):
-            raise CacheError("cache entry %s fails its mod-P fingerprint"
-                             % _cache_path(cache_dir, tb.p, tb.m))
+    if not varieties.relator_fingerprint(links.relator_word(spec), poly):
+        raise CheckError("the polynomial of %s fails its mod-P fingerprint" % spec)
     _emit_poly(poly, args.format)
     return 0
 
@@ -310,9 +305,6 @@ def cmd_verify(args):
         raise ValueError("the given ranges contain more points than the limit of %d"
                          % MAX_VERIFY_POINTS)
     rows = _run_points(partial(_verify_point, args.seed, cache_dir), points, args.jobs)
-    if args.seed is not None and args.family == "1":
-        print("note: --seed %d was not used: pretzel links have no relator word to check"
-              % args.seed, file=sys.stderr)
     _print_rows(rows, args.format)
     return 0 if all(row["pass"] for row in rows) else 1
 
@@ -336,7 +328,6 @@ def build_parser():
     p_char.add_argument("link", help="twobridge:p,m | pretzel:m,n | whitehead:k")
     add_common(p_char)
     p_char.add_argument("--cache-dir", default=None)
-    p_char.add_argument("--no-cache", action="store_true")
     p_char.set_defaults(fn=cmd_charpoly)
 
     p_comp = sub.add_parser("components", help="component count with certificates")
@@ -352,12 +343,11 @@ def build_parser():
     p_ver.add_argument("--p", default="4..22", help="two-bridge p range")
     p_ver.add_argument("--k", default="0..10", help="twist count range")
     p_ver.add_argument("--seed", type=int, default=None,
-                       help="re-runs each two-bridge row's mod-P fingerprint at a pair"
+                       help="re-runs each row's mod-P relator fingerprint at a pair"
                             " drawn from this seed")
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="worker processes, at most one per point and per CPU")
     p_ver.add_argument("--cache-dir", default=None)
-    p_ver.add_argument("--no-cache", action="store_true")
     add_common(p_ver)
     p_ver.set_defaults(fn=cmd_verify)
     return parser
@@ -368,12 +358,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CacheError as exc:
+    except (CheckError, ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CheckError) else 2
 
 
 if __name__ == "__main__":

@@ -1,18 +1,18 @@
 """Link catalog: presentations and character polynomials.
 
-Covers three families:
+Each link is presented as <a, b | a W = W a> by one word (relator_word):
 
-  * two-bridge links b(2p, m), presented as <a, b | a w = w a> with the
-    Riley word w = b^e1 a^e2 ... b^e(2p-1), e_j = (-1)^floor(m j / 2p);
-  * (-2, 2m+1, 2n)-pretzel links, via the closed-form defining
-    polynomial (gamma - 2) * Q(m, n);
+  * two-bridge links b(2p, m), with the Riley word
+    W = b^e1 a^e2 ... b^e(2p-1), e_j = (-1)^floor(m j / 2p);
+  * (-2, 2m+1, 2n)-pretzel links, with pretzel_word(m, n) and the
+    closed-form defining polynomial (gamma - 2) * Q(m, n);
   * k-twisted Whitehead links W_k = b(4k+4, 2k+1), with closed-form
     factor lists.
 
-The defining polynomial of a two-bridge link is the difference
-P_{a w a^-1 b^-1} - P_{w b^-1}, computed by the trace engine; the closed
-forms below are compared against it (up to overall sign) in the
-verification layer.
+The defining polynomial is, up to sign, P_{a^-1 W a b^-1} - P_{W b^-1};
+the trace engine computes a two-bridge link's along a W a^-1 b^-1, the
+same polynomial for a palindrome.  The closed forms below are compared
+against it in the verification layer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .chebyshev import cheb, cheb_at, cheb_comb
 from .polynomials import Polynomial
-from .traces import GAMMA, RING, X, Y, Z, trace_poly, word_concat
+from .traces import GAMMA, RING, X, Y, Z, parse_word, trace_poly, word_concat
 
 REDUCIBLE_SURFACE = GAMMA - 2  # x^2 + y^2 + z^2 - xyz - 4
 
@@ -148,7 +148,7 @@ def char_poly_variants(p, m):
     of the first, and the trace memo serves its polynomial from the
     first's: the two are the same polynomial.  Verification does not call
     this; it checks full itself by an exact fingerprint along the second
-    pair of words (varieties.twobridge_fingerprint).
+    pair of words (varieties.relator_fingerprint).
     """
     full = char_poly_twobridge(p, m).full
     return full, _relator_difference(riley_word(p, m), conjugate_by_inverse=True)
@@ -166,6 +166,23 @@ def relator_words(w, conjugate_by_inverse=False):
 def _relator_difference(w, conjugate_by_inverse):
     left, right = relator_words(w, conjugate_by_inverse)
     return trace_poly(left) - trace_poly(right)
+
+
+def pretzel_word(m, n):
+    """W = b a w^(n-1) a b, w = (a b a b^-1)^(-m) a b a, the pretzel link's relator word.
+
+    Found by a search on traces, not derived from a diagram; the tests check
+    P_{a^-1 W a b^-1} - P_{W b^-1} = pretzel_char_poly(m, n).full on [-5, 5]^2.
+    """
+    return parse_word("ba ((abaB)^%d aba)^%d ab" % (-m, n - 1))
+
+
+def relator_word(link):
+    """W of the link's presentation <a, b | a W = W a>: Riley's word, or pretzel_word."""
+    if isinstance(link, Pretzel):
+        return pretzel_word(link.m, link.n)
+    tb = as_two_bridge(link)
+    return riley_word(tb.p, tb.m)
 
 
 # -- pretzel closed form ---------------------------------------------------------

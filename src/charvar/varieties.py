@@ -18,11 +18,9 @@ polynomial explicitly, verify the defining substitution identity, check
 the gcd precondition that makes the chain valid, and record every step
 in the diagnostic.
 
-A two-bridge report also checks its word polynomial, which the trace
-memo serves, against 2x2 matrix products mod the prime 2^61 - 1 at one
-seeded pair, taken along the conjugate relator words a^-1 w a b^-1 and
-w b^-1 (twobridge_fingerprint); `verify --seed S` runs it again at the
-pair S draws.
+A two-bridge report also checks its word polynomial, served by the trace
+memo, against its relator word's matrix mod 2^61 - 1 at a seeded pair
+(relator_fingerprint); `verify --seed S` reruns it on every row at S's pair.
 
 A Chebyshev family factor u S_k(inner) - v S_{k-1}(inner) enters the
 exact product as the same combination of u R and v R, R the product of
@@ -194,6 +192,7 @@ class ComponentReport:
     sign: int
     unlink: bool = False
     notes: list = field(default_factory=list)
+    full: object = None  # the defining polynomial checked; not in to_json
 
     def certificates_ok(self):
         return all(f.cert_ok for f in self.factors)
@@ -354,13 +353,13 @@ def _fingerprint_pair(seed=FINGERPRINT_SEED):
     return letters, ((a[0] + a[3]) % p, (b[0] + b[3]) % p, (ab[0] + ab[3]) % p)
 
 
-def _trace_mod(word, letters):
+def _word_mod(word, letters):
     m = (1, 0, 0, 1)
     for gen, exp in word:
         g = letters[(gen, 1 if exp > 0 else -1)]
         for _ in range(abs(exp)):
             m = _mul_mod(m, g)
-    return m[0] + m[3]
+    return m
 
 
 def _family_fingerprint(f):
@@ -375,29 +374,27 @@ def _family_fingerprint(f):
             == f.univariate.evaluate_mod((at_inner,), FINGERPRINT_PRIME))
 
 
-def relator_fingerprint(left, right, poly, seed=FINGERPRINT_SEED):
-    """Whether poly = +-(P_left - P_right) holds mod P at the pair seed draws, exactly.
+def relator_fingerprint(w, poly, seed=FINGERPRINT_SEED):
+    """Whether poly = +-(P_{a^-1 w a b^-1} - P_{w b^-1}) mod P at the pair seed draws, exactly.
 
-    tr left - tr right comes from 2x2 integer products mod the prime
-    P = 2^61 - 1, and poly is evaluated mod P, once, at (tr A, tr B, tr AB);
-    either sign of the difference is accepted, as a defining polynomial
-    is one up to sign.  Neither side touches the trace engine, so this
-    checks a polynomial the memo served.  A wrong poly agrees at a random
-    pair with probability of order 2 deg(poly) / P (Schwartz-Zippel).
+    The matrix W of the relator word w (links.relator_word) is formed once
+    from 2x2 integer products mod the prime P = 2^61 - 1, and poly is
+    evaluated mod P at (tr A, tr B, tr AB), either sign accepted.  Neither
+    side touches the trace engine, so this checks a polynomial the memo
+    served.  A wrong poly agrees at a random pair with probability of order
+    2 deg(poly) / P (Schwartz-Zippel).
     """
     letters, point = _fingerprint_pair(seed)
-    difference = (_trace_mod(left, letters) - _trace_mod(right, letters)) % FINGERPRINT_PRIME
+    m = _word_mod(w, letters)
+    # tr(A^-1 W A B^-1) - tr(W B^-1) = tr(W D), D = A B^-1 A^-1 - B^-1
+    d = [x - y for x, y in zip(_word_mod((("a", 1), ("b", -1), ("a", -1)), letters),
+                               letters[("b", -1)])]
+    difference = (m[0] * d[0] + m[1] * d[2] + m[2] * d[1] + m[3] * d[3]) % FINGERPRINT_PRIME
     value = poly.evaluate_mod(point, FINGERPRINT_PRIME)
     return value in (difference, -difference % FINGERPRINT_PRIME)
 
 
-def twobridge_fingerprint(tb, poly, seed=FINGERPRINT_SEED):
-    """relator_fingerprint of poly for the two-bridge link tb, along a^-1 w a b^-1 and w b^-1."""
-    w = links.riley_word(tb.p, tb.m)
-    return relator_fingerprint(*links.relator_words(w, conjugate_by_inverse=True), poly, seed)
-
-
-def _report(link, factors, full, fingerprint_ok=True, notes=()):
+def _report(link, factors, full, word=None, notes=()):
     """Product and sign check of a factor list against full, as a report.
 
     The exact product multiplies the factor polynomials, except that each
@@ -406,7 +403,7 @@ def _report(link, factors, full, fingerprint_ok=True, notes=()):
     the small inner instead of by the factor.  The factor's own
     polynomial is checked instead, by _family_fingerprint.
 
-    fingerprint_ok is whether full passed its relator fingerprint.
+    With word, the link's relator word, full must also pass relator_fingerprint.
     """
     prod = RING.one()
     # the surface factor, first and smallest, is multiplied in last: it
@@ -425,7 +422,7 @@ def _report(link, factors, full, fingerprint_ok=True, notes=()):
     if not all(_family_fingerprint(f) for f in factors if f.comb is not None):
         notes.append("Chebyshev family factor fails its mod-P fingerprint")
         sign = 0
-    if not fingerprint_ok:
+    if word is not None and not relator_fingerprint(word, full):
         notes.append("defining polynomial fails its mod-P fingerprint")
         sign = 0
     return ComponentReport(
@@ -435,6 +432,7 @@ def _report(link, factors, full, fingerprint_ok=True, notes=()):
         product_check=sign != 0,
         sign=sign if sign else 1,
         notes=notes,
+        full=full,
     )
 
 
@@ -635,6 +633,7 @@ def count_components_pretzel(m, n):
             sign=1,
             unlink=True,
             notes=["two-component unlink: the character variety is C^3"],
+            full=cp.full,
         )
     x1, _, beta = links.PRETZEL_COORDS
     factors = [_surface_factor()]
@@ -699,7 +698,7 @@ def verify_twobridge3(p):
     res, rotated = certify_rotated_even(q)
     details = ["irreducible in x, y^2 after rotation"] + res.details
     factors.append(_explicit_factor(q, CertResult(res.ok, details)))
-    return _two_bridge_report(link, factors)
+    return _report(link, factors, links.char_poly_twobridge(p, 3).full, links.relator_word(link))
 
 
 def verify_twisted_whitehead(k):
@@ -712,14 +711,8 @@ def verify_twisted_whitehead(k):
     comb = (n - 1, 1, 0) if k % 2 else (n, 1, 1)
     factors.append(_cheb_family_factor(*comb, GAMMA, cheb_factor))
     factors.append(_certified_whitehead_q(k, n, q))
-    return _two_bridge_report(link, factors)
-
-
-def _two_bridge_report(link, factors):
-    """_report of a two-bridge link's factors against its fingerprinted word polynomial."""
-    tb = links.as_two_bridge(link)
-    full = links.char_poly_twobridge(tb.p, tb.m).full
-    return _report(link, factors, full, twobridge_fingerprint(tb, full))
+    full = links.char_poly_twobridge(2 * k + 2, 2 * k + 1).full
+    return _report(link, factors, full, links.relator_word(link))
 
 
 def _certified_whitehead_q(k, n, q):

@@ -59,6 +59,23 @@ def plant_full_fault(monkeypatch, fault):
     monkeypatch.setattr(links, "char_poly_twobridge", planted)
 
 
+@pytest.fixture
+def planted_pretzel_fault(monkeypatch):
+    """Q(m, n) + x1 y^2 from links.pretzel_q, so full gains (gamma - 2) x1 y^2.
+
+    The closed forms are memoized: the memo is cleared on both sides.
+    """
+    pretzel_q = links.pretzel_q
+
+    def planted(m, n, x1, y, beta):
+        return pretzel_q(m, n, x1, y, beta) + x1 * y**2
+
+    links.pretzel_char_poly.cache_clear()
+    monkeypatch.setattr(links, "pretzel_q", planted)
+    yield
+    links.pretzel_char_poly.cache_clear()
+
+
 def _plant_whitehead_fault(monkeypatch, which):
     factors = links.twisted_whitehead_factors
 

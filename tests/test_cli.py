@@ -158,15 +158,6 @@ def test_charpoly_checks_cache_hits_by_fingerprint(tmp_path, capsys, link, name)
     assert "fingerprint" in err
 
 
-def test_no_cache_flag_ignores_corruption(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    os.makedirs(cache)
-    with open(os.path.join(cache, "twobridge_4_3.json"), "w") as fh:
-        fh.write("{not json")
-    code, _, _ = run(capsys, "verify", "2", "--p", "4..4", "--cache-dir", cache, "--no-cache")
-    assert code == 0
-
-
 def test_verify_parallel_matches_serial(capsys):
     code1, out1, _ = run(capsys, "verify", "3", "--k", "0..2")
     code2, out2, _ = run(capsys, "verify", "3", "--k", "0..2", "--jobs", "2")
@@ -457,7 +448,7 @@ def test_link_limits_exit_2_before_any_build(capsys, monkeypatch):
         (("components", "pretzel:-6,-6"), "max(|m|, |n|) = 6 is above"),
         (("components", "whitehead:30"), "k = 30 is above"),
         (("charpoly", "twobridge:1000,3"), "p = 1000 is above"),
-        (("charpoly", "twobridge:38,21", "--no-cache"), "p = 38 is above"),
+        (("charpoly", "twobridge:38,21"), "p = 38 is above"),
         (("components", "twobridge:62,61"), "p = 62 is above"),
         # every point of a range is checked before the first is built
         (("verify", "1", "--m=-5..6", "--n", "0..0"), "pretzel:6,0: max(|m|, |n|) = 6"),
@@ -566,31 +557,26 @@ def test_verify_huge_negative_twobridge_bounds(capsys, monkeypatch):
     assert code == 0 and seen == ["twobridge:4,3", "twobridge:5,3"]
 
 
-def test_verify_says_when_the_seed_is_unused(capsys):
-    # pretzel links have no relator word, so no row uses the seed
-    argv = ("verify", "1", "--m", "1..1", "--n", "2..2", "--seed", "3")
-    code, out, err = run(capsys, *argv)
-    plain = run(capsys, *argv[:-2])
-    assert (code, out) == plain[:2] and code == 0
-    assert err.count("\n") == 1 and "--seed 3 was not used" in err, err
-    assert plain[2] == ""
-    # every two-bridge row uses it, at any p, and nothing is printed
-    for argv in (("verify", "2", "--p", "10..11"),
+def test_verify_seed_prints_nothing_more_on_every_family(capsys):
+    # every row of every family uses the seed, at any p, and a passing
+    # fingerprint adds nothing to stdout or stderr
+    for argv in (("verify", "1", "--m", "0..1", "--n=-1..3"),
+                 ("verify", "2", "--p", "10..11"),
                  ("verify", "3", "--k", "4..4", "--format", "json")):
         code, out, err = run(capsys, *argv, "--seed", "3")
-        assert (code, out, err) == run(capsys, *argv) and code == 0, argv
+        assert (code, out, err) == run(capsys, *argv) and code == 0 and err == "", argv
 
 
 def test_verify_seed_reruns_the_fingerprint_at_its_own_pair(monkeypatch, capsys):
     # a fingerprint that fails only away from the report's pair
-    fingerprint = cli.varieties.twobridge_fingerprint
+    fingerprint = cli.varieties.relator_fingerprint
     seeds = []
 
-    def planted(tb, poly, seed=cli.varieties.FINGERPRINT_SEED):
+    def planted(w, poly, seed=cli.varieties.FINGERPRINT_SEED):
         seeds.append(seed)
-        return seed == cli.varieties.FINGERPRINT_SEED and fingerprint(tb, poly, seed)
+        return seed == cli.varieties.FINGERPRINT_SEED and fingerprint(w, poly, seed)
 
-    monkeypatch.setattr(cli.varieties, "twobridge_fingerprint", planted)
+    monkeypatch.setattr(cli.varieties, "relator_fingerprint", planted)
     code, out, err = run(capsys, "verify", "2", "--p", "10..10")
     assert code == 0 and "pass" in out and err == ""
     assert seeds == [cli.varieties.FINGERPRINT_SEED]
@@ -609,6 +595,34 @@ def test_verify_exits_1_on_a_planted_variant_fault(monkeypatch, capsys, fault):
     code, out, _ = run(capsys, "verify", "2", "--p", "10..10")
     assert code == 1
     assert "product=False" in out and "FAIL" in out
+    # charpoly checks the memo-served polynomial it prints, with no cache too
+    code, out, err = run(capsys, "charpoly", "twobridge:10,3")
+    assert code == 1 and out == "" and "fingerprint" in err
+
+
+PRETZEL_FAULT_ROWS = ["pretzel:2,3", "pretzel:-5,-5", "pretzel:0,4", "pretzel:3,0",
+                      "pretzel:4,-1", "pretzel:1,5"]
+
+
+def test_charpoly_checks_the_pretzel_closed_form(capsys):
+    for link in PRETZEL_FAULT_ROWS[:2]:
+        code, out, err = run(capsys, "charpoly", link)
+        assert code == 0 and out.strip() and err == "", link
+
+
+@pytest.mark.usefixtures("planted_pretzel_fault")
+def test_charpoly_and_seeded_verify_exit_1_on_a_planted_pretzel_fault(capsys):
+    # a closed form wrong on every row: charpoly prints it with no factor
+    # list to compare, so the relator word alone must refuse it
+    for link in PRETZEL_FAULT_ROWS:
+        code, out, err = run(capsys, "charpoly", link, "--format", "json")
+        assert code == 1 and out == "", link
+        assert err == "error: the polynomial of %s fails its mod-P fingerprint\n" % link
+    code, out, _ = run(capsys, "verify", "1", "--m", "2..2", "--n", "3..3", "--seed", "3",
+                       "--format", "json")
+    (row,) = json.loads(out)
+    assert code == 1 and not row["pass"]
+    assert row["notes"] == ["defining polynomial fails its mod-P fingerprint at --seed 3"]
 
 
 def test_verification_never_builds_the_conjugate_variant(monkeypatch, capsys):

@@ -75,6 +75,18 @@ def test_pretzel_examples():
     assert not pretzel_char_poly(1, 2).degenerate
 
 
+def test_pretzel_word_gives_the_closed_form():
+    # the difference the fingerprint takes, along a^-1 W a b^-1 and W b^-1,
+    # is the closed form exactly, with sign +; both are 0 on the unlink (0, -1)
+    for m in range(-5, 6):
+        for n in range(-5, 6):
+            left, right = links.relator_words(links.pretzel_word(m, n), conjugate_by_inverse=True)
+            assert trace_poly(left) - trace_poly(right) == pretzel_char_poly(m, n).full, (m, n)
+    assert links.relator_word(Pretzel(2, 3)) == links.pretzel_word(2, 3)
+    assert links.relator_word(TwistedWhitehead(3)) == riley_word(8, 7)
+    assert links.relator_word(TwoBridge(5, 3)) == riley_word(5, 3)
+
+
 def test_pretzel_full_splits_off_reducible_surface():
     for m, n in [(2, 2), (0, 3), (-1, 2), (3, -2)]:
         cp = pretzel_char_poly(m, n)

@@ -15,7 +15,6 @@ from charvar.varieties import (
     pretzel_table_count,
     reducible_surface_check,
     relator_fingerprint,
-    twobridge_fingerprint,
     verify_twisted_whitehead,
     verify_twobridge3,
 )
@@ -353,29 +352,28 @@ def test_family_factors_enter_the_product_by_their_combination():
 
 
 def test_correct_variants_pass_the_fingerprint():
-    # every b(2p, 3) and W_k the CLI accepts, along both relator word
-    # pairs, with either sign; each planted fault fails, with either sign
+    # every b(2p, 3) and W_k the CLI accepts, both variants, with either
+    # sign; each planted fault fails, with either sign
     specs = [(p, 3) for p in range(4, 38) if p % 3]
     specs += [(2 * k + 2, 2 * k + 1) for k in range(25)]
     for p, m in specs:
         full, variant = links.char_poly_variants(p, m)
         w = links.riley_word(p, m)
-        assert relator_fingerprint(*links.relator_words(w, conjugate_by_inverse=True), variant)
+        assert relator_fingerprint(w, variant)
         for poly in (full, -full):
-            assert twobridge_fingerprint(links.TwoBridge(p, m), poly), (p, m)
-            assert relator_fingerprint(*links.relator_words(w), poly), (p, m)
+            assert relator_fingerprint(w, poly), (p, m)
             for fault in PLANTED_FAULTS.values():
-                assert not twobridge_fingerprint(links.TwoBridge(p, m), fault(poly)), (p, m)
+                assert not relator_fingerprint(w, fault(poly)), (p, m)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_seeded_fingerprint_fails_every_planted_fault(seed):
     for p in (10, 22, 37):
-        tb = links.TwoBridge(p, 3)
+        w = links.riley_word(p, 3)
         full = links.char_poly_twobridge(p, 3).full
-        assert twobridge_fingerprint(tb, full, seed) and twobridge_fingerprint(tb, -full, seed)
+        assert relator_fingerprint(w, full, seed) and relator_fingerprint(w, -full, seed)
         for name, fault in PLANTED_FAULTS.items():
-            assert not twobridge_fingerprint(tb, fault(full), seed), (p, name)
+            assert not relator_fingerprint(w, fault(full), seed), (p, name)
 
 
 def test_fingerprint_pair_is_drawn_from_its_seed():
