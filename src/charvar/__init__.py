@@ -48,9 +48,8 @@ from .traces import (
 from .varieties import (
     ComponentReport,
     FactorCertificate,
-    LinearInVariable,
-    SquareObstruction,
-    check_certificate,
+    check_linear,
+    check_square_obstruction,
     count_components_pretzel,
     pretzel_table_count,
     reducible_surface_check,

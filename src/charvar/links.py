@@ -128,7 +128,6 @@ class CharPoly:
 
     full: Polynomial
     nonabelian: Polynomial | None = None
-    degenerate: bool = False
 
 
 @lru_cache(maxsize=None)
@@ -223,14 +222,10 @@ def pretzel_char_poly(m, n):
 
     Total in (m, n).  The (0, -1) case is the two-component unlink whose
     character variety is all of C^3; the formula then evaluates to the
-    zero polynomial and the result is flagged degenerate.
+    zero polynomial.
     """
     q = pretzel_nonabelian(m, n)
-    return CharPoly(
-        full=REDUCIBLE_SURFACE * q,
-        nonabelian=q,
-        degenerate=(m, n) == (0, -1),
-    )
+    return CharPoly(full=REDUCIBLE_SURFACE * q, nonabelian=q)
 
 
 # -- closed forms for the two-bridge families ------------------------------------

@@ -2,15 +2,15 @@
 
 Counting works through constructed factor lists.  Each non-obvious factor
 carries the outcome and the steps (cert_ok, details) of a machine-checkable
-certificate of one of these kinds, which check_certificate also runs on a
-polynomial given to it:
+certificate built from these two checks, each of which returns a CertResult
+for a polynomial given to it:
 
-  * LinearInVariable(v): degree 1 in v with coprime coefficient pair,
+  * check_linear(v, poly): degree 1 in v with coprime coefficient pair,
     which forces irreducibility over C;
-  * SquareObstruction(v): the polynomial only involves v^2, its image
-    under v^2 -> w is certified irreducible, and the v = 0 slice is not a
-    perfect square up to a constant, which rules out the one remaining
-    factorization shape (f v + g)(-f v + g);
+  * check_square_obstruction(v, poly): the polynomial only involves v^2,
+    its image under v^2 -> w is certified irreducible, and the v = 0 slice
+    is not a perfect square up to a constant, which rules out the one
+    remaining factorization shape (f v + g)(-f v + g);
 
 Certificates that need a change of variables (x restricted to x z - y,
 triangular moves, the x <-> x +- y rotation) construct the transformed
@@ -36,23 +36,13 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from . import links
-from .chebyshev import cheb, cheb_at, cheb_comb, distinct_root_count
+from .chebyshev import T, cheb_at, cheb_comb, distinct_root_count
 from .links import REDUCIBLE_SURFACE
 from .polynomials import PolyRing, is_perfect_square, poly_gcd
 from .traces import GAMMA, RING, X, Y, Z
 
 
-# -- certificate kinds ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearInVariable:
-    var: str
-
-
-@dataclass(frozen=True)
-class SquareObstruction:
-    var: str
+# -- the two checks ------------------------------------------------------------
 
 
 @dataclass
@@ -60,20 +50,9 @@ class CertResult:
     ok: bool
     details: list
 
-    def __bool__(self):
-        return self.ok
 
-
-def check_certificate(cert, poly):
-    """Run the mechanical checks of a certificate against a polynomial."""
-    if isinstance(cert, LinearInVariable):
-        return _check_linear(cert.var, poly)
-    if isinstance(cert, SquareObstruction):
-        return _check_square_obstruction(cert.var, poly, image_result=None)
-    raise TypeError("unknown certificate kind: %r" % (cert,))
-
-
-def _check_linear(var, poly):
+def check_linear(var, poly):
+    """Whether poly has degree 1 in var with coprime coefficients, so is irreducible."""
     details = []
     d = poly.degree_in(var)
     if d != 1:
@@ -114,7 +93,8 @@ def _slice_is_square_up_to_constant(s):
     return is_perfect_square(sp) is not None or is_perfect_square(-sp) is not None
 
 
-def _check_square_obstruction(var, poly, image_result):
+def check_square_obstruction(var, poly, image_result=None):
+    """Whether poly is even in var, its var = 0 slice no square, its image certified."""
     details = []
     if any(exp[poly.ring.index[var]] % 2 for exp in poly.terms):
         return CertResult(False, ["not a polynomial in %s^2" % var])
@@ -146,7 +126,7 @@ def _auto_linear(poly):
     """Try the degree-1 certificate over each occurring variable."""
     attempts = []
     for v in poly.variables():
-        res = _check_linear(v, poly)
+        res = check_linear(v, poly)
         if res.ok:
             return CertResult(True, ["linear in %s: " % v] + res.details)
         attempts.append("in %s: %s" % (v, res.details[-1]))
@@ -161,7 +141,6 @@ class FactorCertificate:
     kind: str  # reducible_surface | cheb_linear_family | explicit_irreducible
     poly: object  # integer-coefficient contribution to the product
     components: int
-    multiplicity: int = 1
     cert_ok: bool = True
     details: list = field(default_factory=list)
     univariate: object = None  # cheb_linear_family only
@@ -172,7 +151,7 @@ class FactorCertificate:
         out = {
             "kind": self.kind,
             "poly": self.poly.to_json(),
-            "multiplicity": self.multiplicity,
+            "multiplicity": 1,
             "components": self.components,
             "certificate_ok": self.cert_ok,
             "details": list(self.details),
@@ -190,9 +169,12 @@ class ComponentReport:
     component_count: int
     product_check: bool
     sign: int
-    unlink: bool = False
     notes: list = field(default_factory=list)
     full: object = None  # the defining polynomial checked; not in to_json
+
+    @property
+    def unlink(self):
+        return not self.factors  # only the unlink's report has no factor
 
     def certificates_ok(self):
         return all(f.cert_ok for f in self.factors)
@@ -256,12 +238,6 @@ def _surface_factor():
     )
 
 
-@cache
-def _univariate(k, u, v):
-    """u S_k(t) - v S_{k-1}(t), memoized like the S_k."""
-    return u * cheb(k) - v * cheb(k - 1)
-
-
 def _cheb_family_factor(k, u, v, inner, poly=None):
     """A Chebyshev-indexed family of parallel irreducible level sets.
 
@@ -271,7 +247,7 @@ def _cheb_family_factor(k, u, v, inner, poly=None):
     note = _shift_family_note(inner)
     if note is None:
         raise ValueError("inner polynomial %s is not a recognized family" % inner)
-    univ = _univariate(k, u, v)
+    univ = cheb_comb(k, T, u, v)
     occurring = univ.variables()
     count = distinct_root_count(univ) if occurring else 0
     deg = univ.degree_in(occurring[0]) if occurring else 0
@@ -306,7 +282,7 @@ def _explicit_factor(poly, result):
 
 
 def _linear_factor(poly, var):
-    return _explicit_factor(poly, _check_linear(var, poly))
+    return _explicit_factor(poly, check_linear(var, poly))
 
 
 def _match_sign(full, prod):
@@ -365,10 +341,10 @@ def _word_mod(word, letters):
 def _family_fingerprint(f):
     """Whether a family factor's poly is its univariate at its inner, mod P at the seeded pair.
 
-    The univariate comes from the S_k memo and is evaluated at inner's
-    value, so neither side touches the poly's cheb_comb or closed form.
+    The univariate is built in t alone and evaluated at inner's value, so
+    neither side touches the poly's cheb_comb or closed form.
     """
-    _, point = _fingerprint_pair()
+    _, point = _fingerprint_pair(FINGERPRINT_SEED)
     at_inner = f.inner.evaluate_mod(point, FINGERPRINT_PRIME)
     return (f.poly.evaluate_mod(point, FINGERPRINT_PRIME)
             == f.univariate.evaluate_mod((at_inner,), FINGERPRINT_PRIME))
@@ -513,7 +489,7 @@ def _pretzel_chain(name, q, build, final):
     if _triangular_descent(q1, q2, details) is None or not final(q2, details):
         return CertResult(False, details)
     chain = CertResult(True, ["chain above certifies the z^2 -> w image"])
-    sq = _check_square_obstruction("z", q1, image_result=chain)
+    sq = check_square_obstruction("z", q1, image_result=chain)
     details.append(
         "square obstruction in z on %s1: %s" % (name, "passed" if sq.ok else "failed")
     )
@@ -524,7 +500,7 @@ def _pretzel_chain(name, q, build, final):
 
 
 def _linear_in_y(name, poly, details):
-    lin = _check_linear("y", poly)
+    lin = check_linear("y", poly)
     details.append("%s degree-1 certificate in y:" % name)
     details.extend("  " + line for line in lin.details)
     return lin.ok
@@ -586,10 +562,10 @@ def certify_rotated_even(q, slice_z=None):
     # find the even variable to descend on: y for the full rotation,
     # x for the z-slice shape
     var = "y" if slice_z is None else "x"
-    res = _check_square_obstruction(var, rotated, image_result=None)
+    res = check_square_obstruction(var, rotated)
     details.append("square obstruction in %s:" % var)
     details.extend("  " + line for line in res.details)
-    return CertResult(res.ok, details), rotated
+    return CertResult(res.ok, details)
 
 
 # -- public verification operations ------------------------------------------------
@@ -597,26 +573,22 @@ def certify_rotated_even(q, slice_z=None):
 
 def reducible_surface_check(samples=100, seed=0):
     """The abelian factor: symbolic identity plus numeric spot checks."""
-    import numpy as np
-
     if REDUCIBLE_SURFACE != X**2 + Y**2 + Z**2 - X * Y * Z - 4:
         return False
     if REDUCIBLE_SURFACE != GAMMA - 2:
         return False
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(samples):
-        u, v = rng.uniform(0.2, 2, 2) + 1j * rng.uniform(-1, 1, 2)
+        u, v = (complex(rng.uniform(0.2, 2), rng.uniform(-1, 1)) for _ in range(2))
         x = u + 1 / u
         y = v + 1 / v
         z = u * v + 1 / (u * v)
         val = REDUCIBLE_SURFACE.evaluate({"x": x, "y": y, "z": z})
         if abs(val) > 1e-10:
             return False
-    # a visibly non-commuting pair should leave the surface
-    from .numeric import random_rep, traces_of
-
-    pair = random_rep(12345)
-    val = REDUCIBLE_SURFACE.evaluate(traces_of(pair))
+    # a visibly non-commuting pair should leave the surface:
+    # A = [[1, 1], [0, 1]] and B = [[1, 0], [1, 1]] have traces 2, 2 and tr AB = 3
+    val = REDUCIBLE_SURFACE.evaluate({"x": 2, "y": 2, "z": 3})
     return abs(val) > 1e-6
 
 
@@ -624,14 +596,13 @@ def count_components_pretzel(m, n):
     """Factor list, certificates and component count for a pretzel link."""
     link = links.Pretzel(m, n)
     cp = links.pretzel_char_poly(m, n)
-    if cp.degenerate:
+    if (m, n) == (0, -1):
         return ComponentReport(
             link=link,
             factors=[],
             component_count=1,
             product_check=cp.full.is_zero(),
             sign=1,
-            unlink=True,
             notes=["two-component unlink: the character variety is C^3"],
             full=cp.full,
         )
@@ -695,7 +666,7 @@ def verify_twobridge3(p):
     link = links.TwoBridge(p, 3)
     q = links.twobridge3_nonabelian(p)
     factors = [_surface_factor()]
-    res, rotated = certify_rotated_even(q)
+    res = certify_rotated_even(q)
     details = ["irreducible in x, y^2 after rotation"] + res.details
     factors.append(_explicit_factor(q, CertResult(res.ok, details)))
     return _report(link, factors, links.char_poly_twobridge(p, 3).full, links.relator_word(link))
@@ -733,5 +704,5 @@ def _whitehead_q_chain(n, q):
     if not poly_gcd(Z, q).is_one():
         return CertResult(False, details + ["z divides q"])
     details.append("gcd(z, q) = 1: factors keep positive x-degree on the z = 2 slice")
-    res, _ = certify_rotated_even(q, slice_z=2)
+    res = certify_rotated_even(q, slice_z=2)
     return CertResult(res.ok, details + res.details)

@@ -71,8 +71,8 @@ def test_pretzel_examples():
     assert pretzel_char_poly(1, 2).nonabelian == (Z - 1) * (Z + 1)
     assert pretzel_char_poly(1, 3).nonabelian == Z * (Y * Z - X)
     cp = pretzel_char_poly(0, -1)
-    assert cp.degenerate and cp.full.is_zero()
-    assert not pretzel_char_poly(1, 2).degenerate
+    assert cp.full.is_zero()
+    assert not pretzel_char_poly(1, 2).full.is_zero()
 
 
 def test_pretzel_word_gives_the_closed_form():

@@ -6,11 +6,10 @@ from charvar.links import REDUCIBLE_SURFACE
 from charvar.polynomials import PolyRing
 from charvar.traces import GAMMA, RING, X, Y, Z, parse_word, trace_poly, word_concat
 from charvar.varieties import (
-    LinearInVariable,
-    SquareObstruction,
     certify_pretzel_extra_twist,
     certify_pretzel_generic,
-    check_certificate,
+    check_linear,
+    check_square_obstruction,
     count_components_pretzel,
     pretzel_table_count,
     reducible_surface_check,
@@ -31,34 +30,34 @@ from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_full_fault
 
 def test_certificate_linear_pass():
     r2 = links.pretzel_r(3, *_B2_COORDS)
-    res = check_certificate(LinearInVariable("y"), r2)
+    res = check_linear("y", r2)
     assert res.ok, res.details
 
 
 def test_certificate_linear_fail_degree():
-    res = check_certificate(LinearInVariable("x"), X**2 - 1)
+    res = check_linear("x", X**2 - 1)
     assert not res.ok
 
 
 def test_certificate_linear_fail_common_factor():
-    res = check_certificate(LinearInVariable("x"), X * Z - Z * Y)
+    res = check_linear("x", X * Z - Z * Y)
     assert not res.ok
 
 
 def test_certificate_square_obstruction_pass():
-    res = check_certificate(SquareObstruction("z"), Y**2 * Z**2 - X)
+    res = check_square_obstruction("z", Y**2 * Z**2 - X)
     assert res.ok, res.details
 
 
 def test_certificate_square_obstruction_fails_on_odd_power():
-    res = check_certificate(SquareObstruction("z"), Y * Z - X)
+    res = check_square_obstruction("z", Y * Z - X)
     assert not res.ok
 
 
 def test_certificate_square_obstruction_fails_on_square_slice():
     # (yz + x)(-yz + x) = x^2 - y^2 z^2 has slice x^2: a square, so the
     # obstruction must refuse to certify
-    res = check_certificate(SquareObstruction("z"), X**2 - Y**2 * Z**2)
+    res = check_square_obstruction("z", X**2 - Y**2 * Z**2)
     assert not res.ok
 
 
@@ -66,7 +65,7 @@ def test_certificate_square_obstruction_with_w_in_ring():
     # descent picks a fresh name even when the ring already uses w
     R = PolyRing(("x", "w", "z"))
     poly = R.var("w") ** 2 * R.var("z") ** 2 - R.var("x")
-    res = check_certificate(SquareObstruction("z"), poly)
+    res = check_square_obstruction("z", poly)
     assert res.ok, res.details
 
 
@@ -284,6 +283,19 @@ def test_report_json_shape():
 
     for f in data["factors"]:
         from_json(f["poly"])
+    # a family factor keeps every JSON key, with multiplicity 1
+    family_keys = {"kind", "poly", "multiplicity", "components", "certificate_ok", "details",
+                   "univariate", "inner"}
+    for spec in ("pretzel:0,3", "whitehead:2"):
+        rep = _report_of(spec)
+        data = rep.to_json()
+        assert data["unlink"] is False, spec
+        (family,) = [f for f in rep.factors if f.kind == "cheb_linear_family"]
+        (out,) = [f for f in data["factors"] if f["kind"] == "cheb_linear_family"]
+        assert set(out) == family_keys and out["multiplicity"] == 1, spec
+        k, u, v = family.comb
+        assert from_json(out["univariate"]) == u * cheb(k) - v * cheb(k - 1), spec
+    assert count_components_pretzel(0, -1).to_json()["unlink"] is True
 
 
 def test_surface_factor_is_fresh_each_time():
@@ -384,6 +396,13 @@ def test_fingerprint_pair_is_drawn_from_its_seed():
     for gen in "ab":
         a, b, c, d = letters[(gen, 1)]
         assert (a * d - b * c) % prime == 1, gen
+
+
+def test_default_fingerprint_pair_is_drawn_once():
+    # the family and relator fingerprints share one default pair
+    varieties._fingerprint_pair.cache_clear()
+    verify_twisted_whitehead(3)
+    assert varieties._fingerprint_pair.cache_info().currsize == 1
 
 
 def test_certified_irreducible_factors_are_irreducible_over_q():
