@@ -824,7 +824,35 @@ def _dense_gcd(p, q, v):
     return Polynomial(ring, {e << s: g * c for e, c in enumerate(a) if c}, top)
 
 
+def _univariate_content_gcd(u, f, v):
+    """gcd(u, f) for u in Z[v] alone, positive leading coefficient (see _gcd)."""
+    s, mask = f._field(v)
+    parts = {}
+    for k, c in f._packed.items():
+        e = (k >> s) & mask
+        parts.setdefault(k - (e << s), {})[e << s] = c
+    g = u
+    for part in sorted(parts.values(), key=max):
+        g = _dense_gcd(g, Polynomial(u.ring, part, f._top), v)
+        if g.is_constant():
+            return u.ring.const(math.gcd(g.constant_value(), f.content()))
+    return g
+
+
 def _gcd(p, q):
+    """A gcd of p and q with positive leading coefficient.
+
+    Univariate-content rule: when one operand u lies in Z[v] for one
+    variable v, the other's packed terms are grouped in one pass into its
+    coefficients over the remaining variables, each in Z[v], and the gcd
+    is the running _dense_gcd of u with them, lowest degree first.  It is
+    exact: a common factor of u lies in Z[v], and a polynomial in Z[v]
+    divides the other operand exactly when it divides each of those
+    coefficients.  Once the running gcd is a constant c, it divides the
+    contents of the coefficients taken so far, so the gcd is c's gcd with
+    the other operand's integer content.  A primitive part in one variable
+    after the content split on the main variable takes the same route.
+    """
     if p.is_zero():
         return q.normalized()
     if q.is_zero():
@@ -836,12 +864,18 @@ def _gcd(p, q):
     if len(p._packed) == 1:
         return _monomial_gcd(p, q)
     pv, qv = p.variables(), q.variables()
-    if pv == qv and len(pv) == 1:
-        return _dense_gcd(p, q, pv[0])
+    if len(qv) == 1:
+        p, q, pv, qv = q, p, qv, pv
+    if len(pv) == 1:
+        return _univariate_content_gcd(p, q, pv[0])
     v = min(pv + qv, key=p.ring.index.__getitem__)  # the most significant occurring
     cp, fp = _content_pp(p, v)
     cq, fq = _content_pp(q, v)
     cont = _gcd(cp, cq)
+    if len(fp.variables()) < 2 or len(fq.variables()) < 2:
+        # a primitive part in at most one variable: the gcd of the
+        # primitive parts is the univariate route's
+        return (cont * _gcd(fp, fq)).normalized()
     f, g = fp, fq
     if f.degree_in(v) < g.degree_in(v):
         f, g = g, f

@@ -38,7 +38,7 @@ from functools import cache, partial
 from . import links
 from .chebyshev import T, cheb_at, cheb_comb, distinct_root_count
 from .links import REDUCIBLE_SURFACE
-from .polynomials import PolyRing, is_perfect_square, poly_gcd
+from .polynomials import PolyRing, Polynomial, is_perfect_square, poly_gcd
 from .traces import GAMMA, RING, X, Y, Z
 
 
@@ -67,36 +67,53 @@ def check_linear(var, poly):
     return CertResult(True, details)
 
 
-def _even_descend(poly, var):
-    """Image of an even polynomial under var^2 -> w (new ring; w1, w2, ... if taken)."""
-    i = poly.ring.index[var]
+@cache
+def _descent_ring(names, var):
+    """The ring of names with var renamed w (w1, w2, ... if taken), built once per (names, var)."""
     fresh = "w"
     k = 0
-    while fresh in poly.ring.names:
+    while fresh in names:
         k += 1
         fresh = "w%d" % k
-    names = tuple(fresh if n == var else n for n in poly.ring.names)
-    ring = PolyRing(names)
-    terms = {}
-    for exp, c in poly.terms.items():
-        e = list(exp)
-        if e[i] % 2:
-            raise ValueError("odd power of %s" % var)
-        e[i] //= 2
-        terms[tuple(e)] = c
-    return ring.from_terms(terms)
+    return PolyRing(tuple(fresh if n == var else n for n in names))
+
+
+def _odd_in(poly, var):
+    """Whether some term has an odd power of var: the lowest bit of var's packed field is set."""
+    bit = 1 << poly._field(var)[0]
+    return any(k & bit for k in poly._packed)
+
+
+def _even_descend(poly, var):
+    """Image of an even polynomial under var^2 -> w (ValueError on an odd power of var).
+
+    var's field is halved on the packed keys themselves, into the ring
+    _descent_ring gives.  It is exact: that ring keeps the order and the
+    number of variables, so the width and every field's offset carry over,
+    and halving an even field never borrows from a neighbour; distinct
+    keys stay distinct and the exponent bound still holds.
+    """
+    if _odd_in(poly, var):
+        raise ValueError("odd power of %s" % var)
+    s, mask = poly._field(var)
+    halved = {k - ((k >> s & mask) >> 1 << s): c for k, c in poly._packed.items()}
+    return Polynomial(_descent_ring(poly.ring.names, var), halved, poly._top)
 
 
 def _slice_is_square_up_to_constant(s):
-    """Whether a nonzero slice is c * (square) for some constant c."""
-    sp = s.primitive_part()
-    return is_perfect_square(sp) is not None or is_perfect_square(-sp) is not None
+    """Whether a nonzero slice is c * (square) for some constant c.
+
+    A square r^2 has leading coefficient lc(r)^2 > 0, so of the primitive
+    part and its negative only the one with a positive leading coefficient
+    can be a square.
+    """
+    return is_perfect_square(s.primitive_part().normalized()) is not None
 
 
 def check_square_obstruction(var, poly, image_result=None):
     """Whether poly is even in var, its var = 0 slice no square, its image certified."""
     details = []
-    if any(exp[poly.ring.index[var]] % 2 for exp in poly.terms):
+    if _odd_in(poly, var):
         return CertResult(False, ["not a polynomial in %s^2" % var])
     details.append("polynomial in %s^2 only" % var)
     s = poly.coeff_in(var, 0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -357,6 +358,28 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "pass" in proc.stdout
+
+
+# sha256 of `charvar verify N --format json` at the default ranges, recorded
+# at commit adb1389; a change that alters the output on purpose updates the
+# digest and says so in CHANGES.md
+VERIFY_JSON_SHA256 = {
+    "1": "0f7da88edca6c0fb58f374642656e35fd0dd08ef87584f5a2c80d10cfa56c3d1",
+    "2": "6f99c37b0315887f11111c2f51376488923331f815c9b41c29e2a1eacccf345c",
+    "3": "b80f305fdff8f3b6657bb0483eb6523db54cf3d373ffefa0f6ac1f6915b43e9c",
+}
+
+
+@pytest.mark.parametrize("family", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_output_is_pinned(family):
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar", "verify", family, "--format", "json"],
+        env=_cli_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_JSON_SHA256[family]
 
 
 def test_concurrent_cache_writers_leave_one_valid_entry(tmp_path, capsys):

@@ -279,16 +279,17 @@ def test_gcd_with_a_monomial():
     assert poly_gcd(-3 * Y**2, R.zero()) == 3 * Y**2
 
 
+def to_sympy(sympy, p):
+    """p as a sympy expression in its ring's variable names."""
+    syms = sympy.symbols(p.ring.names)
+    return sum(
+        (c * sympy.Mul(*(v**k for v, k in zip(syms, e))) for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
 def test_gcd_with_a_monomial_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
-    syms = sympy.symbols(R.names)
-
-    def to_sympy(p):
-        return sum(
-            (c * sympy.Mul(*(v**k for v, k in zip(syms, e))) for e, c in p.terms.items()),
-            sympy.Integer(0),
-        )
-
     for _ in range(50):
         e = tuple(rng.randint(0, 3) for _ in R.names)
         mono = R.from_terms({e: rng.choice([-12, -6, -1, 1, 2, 4, 15, 30])})
@@ -298,8 +299,8 @@ def test_gcd_with_a_monomial_matches_sympy(rng):
             shared = tuple(rng.randint(0, 2) for _ in R.names)
             q = q * R.from_terms({shared: rng.choice([2, 3, 6])})
         ours = poly_gcd(mono, q)
-        theirs = sympy.gcd(to_sympy(mono), to_sympy(q))
-        assert sympy.expand(to_sympy(ours) - theirs) == 0
+        theirs = sympy.gcd(to_sympy(sympy, mono), to_sympy(sympy, q))
+        assert sympy.expand(to_sympy(sympy, ours) - theirs) == 0
         assert poly_gcd(q, mono) == ours
 
 
@@ -528,6 +529,67 @@ def test_dense_gcd_matches_the_recursive_route(rng, monkeypatch):
     assert poly_gcd(-(T**5) + T, -(T**3) + T) == T**3 - T
     assert poly_gcd(3 * T**2 + 3, 6 * T - 6) == 3
     assert poly_gcd(T**2 - 2, T**2 + T).is_one()
+
+
+def test_univariate_content_gcd_matches_the_recursive_route_and_sympy(rng, monkeypatch):
+    from charvar import polynomials
+
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    route = polynomials._univariate_content_gcd
+    monkeypatch.setattr(
+        polynomials, "_univariate_content_gcd", lambda u, f, v: calls.append(v) or route(u, f, v)
+    )
+
+    def univariate(name, max_deg=3):
+        v = R.var(name)
+        p = R.zero()
+        while len(p.terms) < 2:  # two terms at least, so not the monomial route
+            p = sum((rng.randint(-5, 5) * v**e for e in range(max_deg + 1)), R.zero())
+        return p
+
+    def general(names=R.names):
+        p = R.zero()
+        while len(p.variables()) < 2 or len(p.terms) < 2:  # nor a monomial
+            p = random_poly(rng, R, max_terms=5, max_deg=3, max_coeff=6)
+            p = p.map_values({n: R.var(n) if n in names else 1 for n in R.names}, R)
+        return p
+
+    def shared_factor():
+        s = univariate("z", 2)
+        return s * univariate("z"), s * general()
+
+    kinds = {
+        # an operand univariate in a variable the other also has
+        "shared variable": ("y", lambda: (univariate("y"), general())),
+        # an operand whose only variable the other lacks
+        "missing variable": ("z", lambda: (univariate("z"), general(("x", "y")))),
+        # a primitive part in x alone after the content split on x
+        "univariate primitive part": ("x", lambda: (
+            general(("y", "z")) * univariate("x"), general() * (X + Y + 1))),
+        # a shared nontrivial factor
+        "shared factor": ("z", shared_factor),
+        # integer contents on both sides
+        "integer contents": ("x", lambda: (
+            rng.choice([2, -6, 12]) * univariate("x"), rng.choice([3, -4, 18]) * general())),
+    }
+    for kind, (var, draw) in kinds.items():
+        calls.clear()
+        for _ in range(25):
+            p, q = draw()
+            got = poly_gcd(p, q)
+            assert got == reference_gcd(p, q), (kind, p, q)
+            assert poly_gcd(q, p) == got
+            assert got.leading_coefficient() > 0
+            # sympy's sign convention may differ from the graded-lex lead's
+            ours, theirs = to_sympy(sympy, got), sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q))
+            assert sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0, (kind, p, q)
+        # the route ran on every pair, in the univariate operand's variable
+        assert calls.count(var) >= 50, kind
+    # named cases: the shared factor and the integer contents both survive
+    assert poly_gcd(6 * (Y + 1) * (Y - 2), 4 * (Y + 1) * X * Z + 8 * Y + 8) == 2 * (Y + 1)
+    assert poly_gcd(3 * Z**2 - 3, 6 * X**2 * Y + 9 * X) == 3
+    assert poly_gcd(Z**2 + 1, X * Z**2 + X + Y * Z**2 + Y) == Z**2 + 1
 
 
 # -- packed terms -----------------------------------------------------------------

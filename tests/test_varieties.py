@@ -20,12 +20,16 @@ from charvar.varieties import (
 from charvar.varieties import (
     _B2_COORDS,
     _X1_COORDS,
+    R_B2,
+    R_X1,
+    _even_descend,
     _move_to_x2,
+    _slice_is_square_up_to_constant,
     _surface_factor,
     _triangular_descent,
 )
 
-from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_full_fault
+from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_full_fault, random_poly
 
 
 def test_certificate_linear_pass():
@@ -67,6 +71,44 @@ def test_certificate_square_obstruction_with_w_in_ring():
     poly = R.var("w") ** 2 * R.var("z") ** 2 - R.var("x")
     res = check_square_obstruction("z", poly)
     assert res.ok, res.details
+
+
+def test_even_descend_halves_the_packed_field(rng):
+    for ring in (RING, R_X1, R_B2, PolyRing(("w", "x", "w1"))):
+        for var in ring.names:
+            i = ring.index[var]
+            fresh = next(n for n in ("w", "w1", "w2") if n not in ring.names)
+            image_ring = PolyRing(fresh if n == var else n for n in ring.names)
+            for _ in range(40):
+                p = random_poly(rng, ring, max_terms=6, max_deg=6)
+                even = ring.from_terms(
+                    {e[:i] + (2 * e[i],) + e[i + 1:]: c for e, c in p.terms.items()})
+                image = _even_descend(even, var)
+                assert image.ring.names == image_ring.names
+                # the image built term by term from the exponent tuples
+                want = {e[:i] + (e[i] // 2,) + e[i + 1:]: c for e, c in even.terms.items()}
+                assert image == image_ring.from_terms(want) and image.terms == want
+                with pytest.raises(ValueError):
+                    _even_descend(even + ring.var(var) ** rng.choice([1, 3, 5]), var)
+    # w is taken, so the new variable is w1
+    r = PolyRing(("x", "w", "z"))
+    assert _even_descend(r.var("z") ** 4 - r.var("w"), "z").ring.names == ("x", "w", "w1")
+    assert _even_descend(X**2 * Z**6 + 3, "z").ring.names == ("x", "y", "w")
+
+
+def test_square_obstruction_refuses_a_single_odd_term():
+    for odd in (X * Z, Z**3 * Y**2, -7 * Z):
+        res = check_square_obstruction("z", Y**2 * Z**2 - X + X**2 * Z**4 + odd)
+        assert not res.ok and res.details == ["not a polynomial in z^2"]
+
+
+def test_slice_square_up_to_constant_tests_the_positive_sign():
+    # -sp is the square: the primitive part -(x + y)^2 has a negative lead
+    assert _slice_is_square_up_to_constant(-3 * (X + Y) ** 2)
+    assert _slice_is_square_up_to_constant(-(Y * Z - 2) ** 2)
+    assert _slice_is_square_up_to_constant(5 * (X - Z) ** 2)
+    assert not _slice_is_square_up_to_constant(-3 * (X + Y) ** 2 + 1)
+    assert not _slice_is_square_up_to_constant(X**2 - Y**2)
 
 
 def test_reducible_surface():
