@@ -893,11 +893,13 @@ def _gcd(p, q):
 
 
 def poly_gcd(p, q):
-    """A greatest common divisor, normalized to positive leading coefficient."""
+    """A greatest common divisor, normalized to positive leading coefficient.
+
+    Every route of _gcd already returns it so normalized.
+    """
     if p.ring != q.ring:
         raise ValueError("polynomials from different rings")
-    g = _gcd(p, q)
-    return g.normalized()
+    return _gcd(p, q)
 
 
 # -- perfect squares ------------------------------------------------------------

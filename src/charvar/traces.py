@@ -35,6 +35,18 @@ repeat fewer: cheb_pair ends on (tr(P B^r Q), tr(P B^(r-1) Q)), so a
 twisted Whitehead link's second relator word w b^-1 is served with no
 block search and no product.
 
+Keys and the block search work on one-byte syllable codes: (g, e) with
+0 < |e| < 64 is the byte 64 + e for a and 192 + e for b, so byte order
+is the syllables' tuple order and negating every exponent is one
+bytes.translate.  canonical_form compares the rotations that start at
+the least byte as slices of the doubled code, and reduces a word as
+syllables only when its generator bytes do not alternate around the
+cycle, so the twin key (one translate of the key's code) and a kept
+neighbour (reduced as it is built) are never reduced again.
+_find_block takes the agreement of the doubled code with itself
+shifted by L syllables from one int XOR.  A word with a syllable
+|e| >= 64 takes the same steps on syllable tuples and small int codes.
+
 trace_poly_oracle recomputes the same polynomial by multiplying explicit
 SL2 matrices, with every b-letter scaled by c so that all entries are
 polynomials in x, y, c, and rewriting the trace in z = c + 1/c.  It works
@@ -52,6 +64,7 @@ Words are tuples of (generator, exponent) syllables with generators in
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from operator import eq, lshift
 
@@ -214,26 +227,82 @@ def cyclic_reduce(word):
     return tuple(w)
 
 
+# One fixed byte per syllable (g, e) with 0 < |e| < 64: 64 + e for a and
+# 192 + e for b, so byte order is the tuple order of the syllables.
+_SYLLABLE = tuple(("ab"[c >> 7], c % 128 - 64) if c % 64 else None for c in range(256))
+_CODE = {syllable: c for c, syllable in enumerate(_SYLLABLE) if syllable}
+_NEGATE = bytes((c & 128) + 128 - (c & 127) if c % 64 else c for c in range(256))
+_GENERATOR = bytes(c >> 7 for c in range(256))  # 0 for a, 1 for b
+_AGREE = bytes([1] + [0] * 255)  # an XOR byte of 0 is an agreement
+
+
+def _encode(word):
+    """The word's one-byte code, or None if a syllable has none.
+
+    A syllable given as a list, which free_reduce accepts, has none.
+    """
+    try:
+        return bytes(map(_CODE.__getitem__, word))
+    except (KeyError, TypeError):
+        return None
+
+
+def _least(w, inverse):
+    """The least rotation of a cyclically reduced word and of its inverse.
+
+    Both are one-byte codes or both are syllable tuples; the rotations
+    compared are those that start at an occurrence of the least element.
+    """
+    if not w:
+        return w
+    n = len(w)
+    best = None
+    for c in (w, inverse):
+        cc = c + c
+        first = min(c)
+        i = -1
+        for _ in range(c.count(first)):
+            i = c.index(first, i + 1)
+            rot = cc[i : i + n]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
 def canonical_form(word):
     """Least representative among all rotations of the word and its inverse.
 
     Trace polynomials are invariant under conjugation (hence cyclic
     rotation) and inversion, so this is the right cache key.  The least
     rotation starts at the least syllable, so only those rotations are
-    built.
+    compared, as slices of the doubled one-byte code, whose byte order
+    is the syllables' tuple order (of the doubled syllable tuple where a
+    syllable has no code).
     """
-    w = cyclic_reduce(free_reduce(word))
-    if not w:
-        return ()
-    best = None
-    for u in (w, word_inverse(w)):  # the inverse of a cyclically reduced word is one
-        first = min(u)
-        for i, syllable in enumerate(u):
-            if syllable == first:
-                rot = u[i:] + u[:i]
-                if best is None or rot < best:
-                    best = rot
-    return best
+    return _canonical(word)[0]
+
+
+def _canonical(word):
+    """(canonical_form(word), its one-byte code), the code None outside the table.
+
+    A word whose syllables all have codes and whose generator bytes
+    alternate around the cycle is cyclically reduced as it stands; any
+    other word is reduced as syllables first.  A reduced word with a
+    syllable outside the table takes the least rotation as tuples.
+    """
+    word = tuple(word)
+    code = _encode(word)
+    if code is not None:
+        gens = code.translate(_GENERATOR)
+        if b"\0\0" in gens or b"\1\1" in gens or len(gens) > 1 and gens[0] == gens[-1]:
+            code = None
+    if code is None:
+        word = cyclic_reduce(free_reduce(word))
+        code = _encode(word)
+        if code is None:
+            return _least(word, word_inverse(word)), None
+    code = _least(code, code[::-1].translate(_NEGATE))
+    return tuple(map(_SYLLABLE.__getitem__, code)), code
 
 
 # -- the engine: block collapse, then the walk ------------------------------
@@ -248,10 +317,14 @@ def trace_poly(word):
     with every exponent negated, and a computed value is stored under
     both keys.
     """
-    key = canonical_form(word)
+    key, code = _canonical(word)
     value = _memo.get(key)
     if value is None:
-        twin = canonical_form([(gen, -exp) for gen, exp in key])
+        # the negated key is cyclically reduced, and its inverse is the key reversed
+        if code is None:
+            twin = _least(tuple([(gen, -exp) for gen, exp in key]), key[::-1])
+        else:
+            twin = tuple(map(_SYLLABLE.__getitem__, _least(code.translate(_NEGATE), code[::-1])))
         value = _memo.get(twin)
         if value is None:
             value = _memo[key] = _memo[twin] = _compute(key)
@@ -291,19 +364,24 @@ def _find_block(u):
 
     The block of length L at cyclic position s repeats k times iff the
     syllables from s agree with those L further on for (k - 1) L
-    positions.  Syllables are compared as small int codes, one bytes
-    scan of u + u per L, whose stretches of agreement give that run for
-    every s, so the search is O(n^2) in the syllable count n.  Rotation
-    r = s (i = 0) leaves the most room, and k copies fit in rotation r
-    iff i = s - r is at most n - k L, so each (s, L) with the largest
-    saving first appears in rotation max(0, s - (n - k L)).
+    positions.  One bytes scan of u + u per L, whose stretches of
+    agreement give that run for every s, makes the search O(n^2) in the
+    syllable count n.  The agreement bytes come from one XOR of the
+    doubled one-byte code read as an int, its top 2n - L bytes against
+    its low ones, with each zero byte read as 1 and any other as 0; a
+    word with a syllable outside the table compares small int codes
+    instead.  Rotation r = s (i = 0) leaves the most room, and k copies
+    fit in rotation r iff i = s - r is at most n - k L, so each (s, L)
+    with the largest saving first appears in rotation max(0, s - (n - k L)).
     """
     n = len(u)
-    codes = {}
-    uu = [codes.setdefault(syllable, len(codes)) for syllable in u] * 2
-    cum = [0]
-    for _, e in u + u:
-        cum.append(cum[-1] + abs(e))
+    code = _encode(u)
+    if code is None:
+        codes = {}
+        uu = [codes.setdefault(syllable, len(codes)) for syllable in u] * 2
+    else:
+        big = int.from_bytes(code * 2, "big")
+    cum = [0, *accumulate([abs(e) for _, e in u] * 2)]
     best_saved = 0
     best = None  # (r, L, i, reps)
     for L in range(2, n // 2 + 1):
@@ -312,7 +390,7 @@ def _find_block(u):
         if cum[n] - L < best_saved:
             break
         cap = n - L  # agreement beyond this cannot fit in one rotation
-        agree = bytes(map(eq, uu, uu[L:]))
+        agree = bytes(map(eq, uu, uu[L:])) if code is None else _agreement(big, n, L)
         run = b"\x01" * L  # a stretch of agreement shorter than L gives no block
         a = agree.find(run)
         while 0 <= a < n:
@@ -341,6 +419,12 @@ def _find_block(u):
     w = u[r:] + u[:r]
     j = i + reps * L
     return w[:i], w[i : i + L], reps, w[j:]
+
+
+def _agreement(big, n, L):
+    """bytes(map(eq, uu, uu[L:])) for uu a doubled code of n syllables, read as the int big."""
+    m = 2 * n - L
+    return ((big >> 8 * L) ^ (big & ((1 << 8 * m) - 1))).to_bytes(m, "big").translate(_AGREE)
 
 
 # Right multiplication by a and by b on the coordinates (p0, p1, p2, p3)

@@ -592,6 +592,58 @@ def test_univariate_content_gcd_matches_the_recursive_route_and_sympy(rng, monke
     assert poly_gcd(Z**2 + 1, X * Z**2 + X + Y * Z**2 + Y) == Z**2 + 1
 
 
+def test_every_gcd_route_returns_a_positive_lead(rng, monkeypatch):
+    from charvar import polynomials
+
+    seen = set()
+    for name in ("_monomial_gcd", "_univariate_content_gcd", "_dense_gcd", "_prem"):
+        route = getattr(polynomials, name)
+        monkeypatch.setattr(
+            polynomials, name, lambda *args, _name=name, _route=route: seen.add(_name) or _route(*args)
+        )
+
+    def general():  # two variables and two terms at least
+        p = R.zero()
+        while len(p.variables()) < 2 or len(p.terms) < 2:
+            p = random_poly(rng, R, max_terms=5, max_deg=3, max_coeff=6)
+        return p
+
+    def univariate():
+        p = R.zero()
+        while len(p.terms) < 2:
+            p = sum((rng.randint(-5, 5) * Y**e for e in range(4)), R.zero())
+        return p
+
+    def sign():
+        return rng.choice([1, -1, 2, -3, -6])
+
+    shared = X * Y - Z + 1
+    draws = {
+        "zero": lambda: (R.zero(), sign() * general()),
+        "constants": lambda: (R.const(rng.randint(-9, 9)), R.const(sign())),
+        "monomial": lambda: (sign() * X**2 * Z, sign() * general()),
+        "univariate content": lambda: (sign() * univariate(), sign() * general()),
+        "univariate content, shared factor": lambda: (
+            sign() * (2 - Y) * univariate(), sign() * (Y - 2) * general()),
+        "univariate primitive part": lambda: (
+            general() * (Y**2 - 2), sign() * general() * (Y**2 - 2)),
+        "remainder sequence, shared factor": lambda: (
+            sign() * shared * general(), sign() * shared * general()),
+        "remainder sequence": lambda: (sign() * general(), sign() * general()),
+    }
+    constant = 0
+    for kind, draw in draws.items():
+        for _ in range(40):
+            p, q = draw()
+            for a, b in ((p, q), (q, p)):
+                got = polynomials._gcd(a, b)
+                assert poly_gcd(a, b) == got, (kind, a, b)
+                assert got.is_zero() or got.leading_coefficient() > 0, (kind, a, b)
+            constant += got.is_constant()
+    assert seen == {"_monomial_gcd", "_univariate_content_gcd", "_dense_gcd", "_prem"}
+    assert 0 < constant < 320
+
+
 # -- packed terms -----------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 import random
 import time
 from functools import lru_cache
-from operator import lshift
+from operator import eq, lshift
 
 import pytest
 
@@ -16,6 +16,7 @@ from charvar.traces import (
     Z,
     canonical_form,
     cyclic_reduce,
+    free_reduce,
     parse_word,
     trace_identity_suite,
     trace_poly,
@@ -600,3 +601,110 @@ def test_every_kept_neighbour_matches_the_oracle(monkeypatch):
                 assert value == trace_poly_oracle(key), (p, m, key)
             kept += len(memo.kept)
     assert kept
+
+
+# -- one-byte syllable codes ------------------------------------------------------
+
+
+def test_syllable_code_tables():
+    table = {s: c for c, s in enumerate(traces._SYLLABLE) if s is not None}
+    assert set(table) == {(g, e) for g in "ab" for e in range(-63, 64) if e}
+    # decoding inverts encoding, and negation maps each code to that of (g, -e)
+    assert traces._CODE == table
+    for (g, e), c in table.items():
+        assert type(e) is int and traces._SYLLABLE[c] == (g, e)
+        assert traces._NEGATE[c] == table[(g, -e)]
+    # byte order is tuple order
+    for s, c in table.items():
+        for t, d in table.items():
+            assert (c < d) == (s < t), (s, t)
+    word = tuple(table)
+    assert tuple(traces._SYLLABLE[c] for c in traces._encode(word)) == word
+    for outside in (("a", 64), ("b", -64), ("a", 0), ("c", 1)):
+        assert traces._encode((("a", 1), outside)) is None
+
+
+def _mixed_word(rng, max_syllables, exps):
+    # a list, not always reduced: a generator repeats one time in ten
+    out = []
+    gen = rng.choice("ab")
+    for _ in range(rng.randint(0, max_syllables)):
+        out.append((gen, rng.choice(exps)))
+        if rng.random() < 0.9:
+            gen = "b" if gen == "a" else "a"
+    return out
+
+
+def test_canonical_form_brute_force_beyond_the_code_table(rng):
+    small = [e for e in range(-3, 4) if e]
+    large = [e for e in range(-70, 71) if abs(e) >= 60]
+    for exps in (small + [0], small + large, large + [0, 1, -1]):
+        for _ in range(300):
+            word = _mixed_word(rng, 12, exps)
+            w = cyclic_reduce(free_reduce(word))
+            rotations = [u[i:] + u[:i] for u in (w, word_inverse(w)) for i in range(len(u))]
+            expected = min(rotations, default=())
+            assert canonical_form(word) == expected, word
+            assert canonical_form(tuple(word)) == expected, word
+    # a merge can leave the table and a cancellation can come back to it
+    assert canonical_form([("a", 60), ("b", 1), ("a", 10)]) == (("a", -70), ("b", -1))
+    assert canonical_form([("b", 1), ("a", 70), ("a", -10)]) == (("a", -60), ("b", -1))
+    assert canonical_form([("a", 0), ("b", 0)]) == ()
+    assert canonical_form([["b", 2], ["a", -1]]) == (("a", -1), ("b", 2))
+    for word in ([("c", 1)], [("a", 1), ("c", 70)], [("a", 70), ("b", 2), ("c", 1)]):
+        with pytest.raises(ValueError):
+            canonical_form(word)
+
+
+def test_trace_poly_beyond_the_code_table_serves_reverse_and_negation(monkeypatch):
+    monkeypatch.setattr(traces, "_memo", {})
+    word = parse_word("a^70 b^2 A^3 B")
+    expected = trace_poly_oracle(word)
+    assert trace_poly(word) == expected
+    computed = len(traces._memo)
+    assert trace_poly(parse_word("B A^3 b^2 a^70")) == expected
+    assert trace_poly(parse_word("A^70 b^-2 a^3 b")) == expected
+    assert len(traces._memo) == computed
+
+
+def test_find_block_matches_reference_beyond_the_code_table(rng):
+    words = []
+    for _ in range(150):
+        word = _mixed_word(rng, 30, [1, -1, 64, -65, 70])
+        words.append(cyclic_reduce(free_reduce(word)))
+    for text in ("a^64 b", "a^70 B^2", "a b^-64", "a^2 B a^-70 b"):
+        for k in range(1, 8):
+            for tail in ("", "a^5", "b^-66 a"):
+                words.append(cyclic_reduce(parse_word("(%s)^%d %s" % (text, k, tail))))
+    beyond = found = 0
+    for u in words:
+        expected = _find_block_reference(u)
+        assert traces._find_block(u) == expected, u
+        beyond += traces._encode(u) is None
+        found += expected is not None
+    assert beyond > len(words) * 3 // 4 and found > len(words) // 3
+
+
+def test_xor_agreement_equals_syllable_comparison(rng):
+    for max_exp in (1, 2, 63):
+        for _ in range(100):
+            u = random_word(rng, max_syllables=30, max_exp=max_exp)
+            uu = list(u) * 2
+            big = int.from_bytes(traces._encode(u) * 2, "big")
+            for L in range(2 * len(u)):
+                assert traces._agreement(big, len(u), L) == bytes(map(eq, uu, uu[L:])), (u, L)
+
+
+def test_memo_keys_are_canonical_syllable_tuples(monkeypatch):
+    monkeypatch.setattr(traces, "_memo", {})
+    for p in range(4, 36):
+        if p % 3:
+            for u in relator_words(riley_word(p, 3)):
+                trace_poly(u)
+    assert len(traces._memo) > 100
+    for key in traces._memo:
+        assert type(key) is tuple
+        for syllable in key:
+            assert type(syllable) is tuple and len(syllable) == 2, key
+            assert type(syllable[0]) is str and type(syllable[1]) is int, key
+        assert canonical_form(key) == key
