@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import links
-from .traces import trace_poly
+from .traces import GAMMA, trace_poly
 
 _DET_FLOOR = 1e-6
 
@@ -66,9 +66,7 @@ def commutator_trace_check(pair):
     """
     a, b = pair
     comm = a @ b @ _inv(a) @ _inv(b)
-    pt = traces_of(pair)
-    gamma = pt["x"] ** 2 + pt["y"] ** 2 + pt["z"] ** 2 - pt["x"] * pt["y"] * pt["z"] - 2
-    return complex(np.trace(comm)) - gamma
+    return complex(np.trace(comm)) - GAMMA.evaluate(traces_of(pair))
 
 
 def relator_residual(link, pair):

@@ -14,14 +14,16 @@ every result takes its width from a bound on its own exponents, so no
 key carries (Monagan & Pearce, ISSAC 2009).  `terms`, the same map under
 exponent tuples, is built on first read and cached.  Values are
 immutable after construction and each cache is written once with an
-equal value, so they are safe to share between threads.
+equal value, so they are safe to share between threads.  `evaluate` is
+the one point evaluator, exact mod a modulus or in the values' arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import add, lshift, or_
+from itertools import chain
+from operator import add, itemgetter, lshift, or_
 
 NEG_INF = float("-inf")
 
@@ -529,56 +531,39 @@ class Polynomial:
         mapping = {n: ring.var(n) for n in self.variables()}
         return self.map_values(mapping, ring)
 
-    def evaluate(self, assignment):
-        """Evaluate at a point: a term-by-term sum with cached powers.
+    def evaluate(self, assignment, modulus=None):
+        """The value at a point {name: value}; names that do not occur are ignored.
 
-        Values are never converted: each term is the integer coefficient
-        times powers of the assigned values, so the result keeps the
-        inputs' own arithmetic (int stays exact, Fraction stays Fraction,
-        a numpy extended-precision scalar stays extended, a Polynomial
-        gives a Polynomial).  Terms are summed in sorted_terms() order, so
-        a floating-point result does not depend on how the term map was
-        built.  The zero polynomial evaluates to int 0.  Raises KeyError
-        if a variable with positive degree is missing.
+        Each occurring variable gets one table of powers, built by repeated
+        multiplication and read through the packed keys.  Values are never
+        converted, so the result keeps the inputs' own arithmetic (int stays
+        exact, Fraction stays Fraction, numpy extended precision stays
+        extended, a Polynomial gives a Polynomial).  Terms are summed in
+        descending key order, lex order of the exponents, so a float result
+        does not depend on how the term map was built or on its width.  With
+        modulus, the powers are reduced and the sum once, at the end.  The
+        zero polynomial gives int 0; an occurring variable with no value, KeyError.
         """
-        for n in self.variables():
-            if n not in assignment:
-                raise KeyError("no value for variable %r" % n)
-        powers = {}
-        total = 0
-        names = self.ring.names
-        for exp, c in self.sorted_terms():
-            term = c
-            for name, e in zip(names, exp):
-                if e:
-                    v = powers.get((name, e))
-                    if v is None:
-                        v = powers[(name, e)] = assignment[name] ** e
-                    term = term * v
-            total = total + term
-        return total
-
-    def evaluate_mod(self, values, modulus):
-        """The value mod modulus at ints, one per variable in ring order.
-
-        Reads the packed keys through one table of powers per variable,
-        so no exponent tuple is built; the sum is reduced once, at the end.
-        """
-        if len(values) != len(self.ring.names):
-            raise ValueError("need %d values, got %d" % (len(self.ring.names), len(values)))
+        packed = self._packed
         mask = (1 << self._w) - 1
+        occurring = reduce(or_, packed, 0)
         fields = []
-        for shift, v in zip(self.ring._shifts(self._w), values):
-            powers = [1]
-            for _ in range(self._top):
-                powers.append(powers[-1] * v % modulus)
-            fields.append((shift, powers))
+        for name, s in zip(self.ring.names, self.ring._shifts(self._w)):
+            seen = (occurring >> s) & mask  # the OR of its exponents, below twice the largest
+            if seen:
+                v = assignment[name]
+                powers = [1]
+                for _ in range(min(self._top, (1 << seen.bit_length()) - 1)):
+                    powers.append(powers[-1] * v % modulus if modulus else powers[-1] * v)
+                fields.append((s, powers))
+        # an exact sum mod modulus does not depend on the order of its terms
+        items = packed.items() if modulus else sorted(packed.items(), key=itemgetter(0))[::-1]
         total = 0
-        for k, c in self._packed.items():
-            for shift, powers in fields:
-                c *= powers[(k >> shift) & mask]
-            total += c
-        return total % modulus
+        for k, c in items:
+            for s, powers in fields:
+                c = c * powers[(k >> s) & mask]
+            total = total + c
+        return total % modulus if modulus else total
 
     # -- divisibility -------------------------------------------------------
 
@@ -701,18 +686,25 @@ class Polynomial:
 def from_json(data, ring=None):
     """Rebuild a Polynomial from its interchange form.
 
-    One pass converts and sums the terms; the exponent vectors of the
+    The types are checked once over all terms (a bool is not an int here),
+    one pass converts and sums the terms, and the exponent vectors of the
     nonzero sums are then checked once, as they are packed.
     """
-    names = tuple(data["vars"])
+    names = data["vars"]
+    exps = [t["exp"] for t in data["terms"]]
+    coeffs = [t["coeff"] for t in data["terms"]]
+    if type(names) is not list or not set(map(type, exps)) <= {list}:
+        raise ValueError("the variable list and each exponent vector must be lists")
+    if not set(map(type, chain(*exps))) <= {int} or not set(map(type, coeffs)) <= {int, str}:
+        raise ValueError("each exponent must be an int, each coefficient an int or its string")
+    names = tuple(names)
     if ring is None:
         ring = PolyRing(names)
     elif ring.names != names:
         raise ValueError("variable list %r does not match ring %r" % (names, ring.names))
     terms = {}
-    for t in data["terms"]:
-        exp = tuple(map(int, t["exp"]))
-        terms[exp] = terms.get(exp, 0) + int(t["coeff"])
+    for exp, c in zip(map(tuple, exps), map(int, coeffs)):
+        terms[exp] = terms.get(exp, 0) + c
     return ring._from_exponents({e: c for e, c in terms.items() if c})
 
 

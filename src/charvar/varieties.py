@@ -21,6 +21,7 @@ in the diagnostic.
 A two-bridge report also checks its word polynomial, served by the trace
 memo, against its relator word's matrix mod 2^61 - 1 at a seeded pair
 (relator_fingerprint); `verify --seed S` reruns it on every row at S's pair.
+Every point check here evaluates mod P, and none uses floating point.
 
 A Chebyshev family factor u S_k(inner) - v S_{k-1}(inner) enters the
 exact product as the same combination of u R and v R, R the product of
@@ -236,8 +237,11 @@ def _shift_family_note(inner):
 
 @cache
 def _surface_discriminant():
-    """Whether the x-discriminant of gamma - 2 is a non-square, and its detail line (run once)."""
-    disc = (Y * Z) ** 2 - 4 * (Y**2 + Z**2 - 4)
+    """Whether gamma - 2 is monic quadratic in x, discriminant no square; its detail (run once)."""
+    c2, c1, c0 = (REDUCIBLE_SURFACE.coeff_in("x", i) for i in (2, 1, 0))
+    if REDUCIBLE_SURFACE.degree_in("x") != 2 or not c2.is_one():
+        return False, "%s is not a monic quadratic in x" % REDUCIBLE_SURFACE
+    disc = c1**2 - 4 * c0
     return (not _slice_is_square_up_to_constant(disc),
             "monic quadratic in x with non-square discriminant %s" % disc)
 
@@ -326,7 +330,7 @@ def _mul_mod(m, n):
 
 @cache
 def _fingerprint_pair(seed=FINGERPRINT_SEED):
-    """A seeded pair in SL2(F_P) as {letter: matrix}, and its (tr A, tr B, tr AB).
+    """A seeded pair in SL2(F_P) as {letter: matrix}, and its {"x": tr A, "y": tr B, "z": tr AB}.
 
     Built on first use, once per seed.  Each matrix draws a != 0, b and
     c, and solves a d - b c = 1 for d.
@@ -343,7 +347,7 @@ def _fingerprint_pair(seed=FINGERPRINT_SEED):
     for gen, (m00, m01, m10, m11) in (("a", a), ("b", b)):
         letters[(gen, -1)] = (m11, -m01 % p, -m10 % p, m00)
     ab = _mul_mod(a, b)
-    return letters, ((a[0] + a[3]) % p, (b[0] + b[3]) % p, (ab[0] + ab[3]) % p)
+    return letters, {"x": (a[0] + a[3]) % p, "y": (b[0] + b[3]) % p, "z": (ab[0] + ab[3]) % p}
 
 
 def _word_mod(word, letters):
@@ -362,9 +366,9 @@ def _family_fingerprint(f):
     neither side touches the poly's cheb_comb or closed form.
     """
     _, point = _fingerprint_pair(FINGERPRINT_SEED)
-    at_inner = f.inner.evaluate_mod(point, FINGERPRINT_PRIME)
-    return (f.poly.evaluate_mod(point, FINGERPRINT_PRIME)
-            == f.univariate.evaluate_mod((at_inner,), FINGERPRINT_PRIME))
+    at_inner = f.inner.evaluate(point, FINGERPRINT_PRIME)
+    return (f.poly.evaluate(point, FINGERPRINT_PRIME)
+            == f.univariate.evaluate({"t": at_inner}, FINGERPRINT_PRIME))
 
 
 def relator_fingerprint(w, poly, seed=FINGERPRINT_SEED):
@@ -383,7 +387,7 @@ def relator_fingerprint(w, poly, seed=FINGERPRINT_SEED):
     d = [x - y for x, y in zip(_word_mod((("a", 1), ("b", -1), ("a", -1)), letters),
                                letters[("b", -1)])]
     difference = (m[0] * d[0] + m[1] * d[2] + m[2] * d[1] + m[3] * d[3]) % FINGERPRINT_PRIME
-    value = poly.evaluate_mod(point, FINGERPRINT_PRIME)
+    value = poly.evaluate(point, FINGERPRINT_PRIME)
     return value in (difference, -difference % FINGERPRINT_PRIME)
 
 
@@ -589,24 +593,22 @@ def certify_rotated_even(q, slice_z=None):
 
 
 def reducible_surface_check(samples=100, seed=0):
-    """The abelian factor: symbolic identity plus numeric spot checks."""
+    """The abelian factor: symbolic identity plus exact samples over F_P."""
     if REDUCIBLE_SURFACE != X**2 + Y**2 + Z**2 - X * Y * Z - 4:
         return False
     if REDUCIBLE_SURFACE != GAMMA - 2:
         return False
     rng = random.Random(seed)
+    p = FINGERPRINT_PRIME
     for _ in range(samples):
-        u, v = (complex(rng.uniform(0.2, 2), rng.uniform(-1, 1)) for _ in range(2))
-        x = u + 1 / u
-        y = v + 1 / v
-        z = u * v + 1 / (u * v)
-        val = REDUCIBLE_SURFACE.evaluate({"x": x, "y": y, "z": z})
-        if abs(val) > 1e-10:
+        # the traces of diag(u, 1/u) and diag(v, 1/v), where gamma - 2 is exactly 0
+        u, v = rng.randrange(1, p), rng.randrange(1, p)
+        point = {"x": u + pow(u, -1, p), "y": v + pow(v, -1, p), "z": u * v + pow(u * v, -1, p)}
+        if REDUCIBLE_SURFACE.evaluate(point, p) != 0:
             return False
     # a visibly non-commuting pair should leave the surface:
     # A = [[1, 1], [0, 1]] and B = [[1, 0], [1, 1]] have traces 2, 2 and tr AB = 3
-    val = REDUCIBLE_SURFACE.evaluate({"x": 2, "y": 2, "z": 3})
-    return abs(val) > 1e-6
+    return REDUCIBLE_SURFACE.evaluate({"x": 2, "y": 2, "z": 3}) == 1
 
 
 def count_components_pretzel(m, n):

@@ -229,6 +229,77 @@ def test_cache_entry_with_a_bad_term_exit_1(tmp_path, capsys):
         assert code == 1 and out == "" and "malformed" in err, (field, value, err)
 
 
+def _first_term(full, test):
+    return next(t for t in full["terms"] if test(t))
+
+
+def _exp_as_digits(full):
+    term = _first_term(full, lambda t: max(t["exp"]) < 10)
+    term["exp"] = "".join(map(str, term["exp"]))
+
+
+def _exp_as_floats(full):
+    full["terms"][0]["exp"] = [float(e) for e in full["terms"][0]["exp"]]
+
+
+def _exp_as_bools(full):
+    term = _first_term(full, lambda t: set(t["exp"]) <= {0, 1})
+    term["exp"] = [bool(e) for e in term["exp"]]
+
+
+def _coeff_as_float(full):
+    term = _first_term(full, lambda t: int(t["coeff"]) > 0)
+    term["coeff"] = int(term["coeff"]) + 0.9
+
+
+def _coeff_as_bool(full):
+    _first_term(full, lambda t: t["coeff"] == "1")["coeff"] = True
+
+
+@pytest.mark.parametrize("plant", [
+    lambda full: full.update(vars="".join(full["vars"])),
+    _exp_as_digits,
+    _exp_as_floats,
+    _exp_as_bools,
+    _coeff_as_float,
+    _coeff_as_bool,
+], ids=["vars-string", "exp-string", "exp-floats", "exp-bools", "coeff-float", "coeff-bool"])
+def test_cache_entry_with_a_mistyped_field_exit_1(tmp_path, capsys, plant):
+    # each planted entry has the honest values, read leniently: only a type is wrong
+    cache = str(tmp_path / "cache")
+    code, _, _ = run(capsys, "charpoly", "twobridge:5,3", "--cache-dir", cache)
+    assert code == 0
+    entry = os.path.join(cache, "twobridge_5_3.json")
+    with open(entry) as fh:
+        data = json.load(fh)
+    honest = from_json(data["full"])
+    plant(data["full"])
+    lenient = {tuple(map(int, t["exp"])): int(t["coeff"]) for t in data["full"]["terms"]}
+    assert tuple(data["full"]["vars"]) == honest.ring.names
+    assert honest.ring.from_terms(lenient) == honest
+    with open(entry, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(capsys, "charpoly", "twobridge:5,3", "--cache-dir", cache)
+    assert code == 1 and out == "" and "malformed" in err, err
+
+
+def test_cache_entry_with_int_coefficients_is_accepted(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    code, miss, _ = run(capsys, "charpoly", "twobridge:5,3", "--cache-dir", cache)
+    assert code == 0
+    entry = os.path.join(cache, "twobridge_5_3.json")
+    with open(entry) as fh:
+        data = json.load(fh)
+    full = from_json(data["full"])
+    terms = data["full"]["terms"]
+    for sign, expected in ((1, miss), (-1, "%s\n" % -full)):
+        data["full"]["terms"] = [dict(t, coeff=sign * int(t["coeff"])) for t in terms]
+        with open(entry, "w") as fh:
+            json.dump(data, fh)
+        code, out, _ = run(capsys, "charpoly", "twobridge:5,3", "--cache-dir", cache)
+        assert code == 0 and out == expected
+
+
 def test_cache_entry_with_a_huge_exponent_exit_1(tmp_path, capsys):
     # the fingerprint's power tables would grow with the exponent: the
     # entry is refused by the word's weight before any is built

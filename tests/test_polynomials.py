@@ -142,13 +142,61 @@ def test_evaluate_mod_matches_exact_evaluation(rng):
     for ring in (R, T_RING):
         for _ in range(100):
             poly = random_poly(rng, ring, max_terms=6, max_deg=8, max_coeff=10**30)
-            values = [rng.randrange(-p, p) for _ in ring.names]
-            assert poly.evaluate_mod(values, p) == poly.evaluate(dict(zip(ring.names, values))) % p
+            point = {n: rng.randrange(-p, p) for n in ring.names}
+            assert poly.evaluate(point, p) == poly.evaluate(point) % p
     # exponents past 1023 widen the packed fields
     wide = X**2000 * Y - 7 * Z**1500 + 3
-    assert wide.evaluate_mod((2, 3, 5), 101) == (2**2000 * 3 - 7 * 5**1500 + 3) % 101
-    with pytest.raises(ValueError):
-        (X + Y).evaluate_mod((1, 2), p)
+    assert wide.evaluate({"x": 2, "y": 3, "z": 5}, 101) == (2**2000 * 3 - 7 * 5**1500 + 3) % 101
+    with pytest.raises(KeyError):
+        (X + Y).evaluate({"x": 1}, p)
+
+
+def test_evaluate_ignores_term_order_and_field_width(rng):
+    np = pytest.importorskip("numpy")
+    terms = {}
+    for _ in range(60):
+        exp = tuple(rng.randrange(9) for _ in range(3))
+        terms[exp] = rng.randrange(-10**6, 10**6) or 1
+    forward = R.from_terms(terms)
+    backward = R.from_terms(dict(reversed(list(terms.items()))))
+    shift = X**1100
+    wide = (forward * shift).div_exact(shift)
+    assert list(forward._packed) != list(backward._packed)
+    assert (forward._w, wide._w) == (10, 11) and wide == forward
+    for point in (
+        {"x": 1.1 + 0.3j, "y": -0.7 + 0.9j, "z": 1.3 - 0.2j},
+        {"x": np.clongdouble(0.9 - 1.2j), "y": np.clongdouble(1.7j), "z": np.clongdouble(-1.1)},
+    ):
+        values = [p.evaluate(point) for p in (forward, backward, wide)]
+        assert {type(v) for v in values} == {type(point["x"])}
+        assert len({repr(v) for v in values}) == 1, values
+
+
+def test_evaluate_mod_reduces_values_and_constants():
+    assert R.zero().evaluate({}, 7) == 0
+    assert R.const(-10).evaluate({}, 7) == 4
+    assert R.const(30).evaluate({"x": 5}, 7) == 2
+    poly = X**2 * Y - 5 * Z + 3
+    reduced = poly.evaluate({"x": 6, "y": 2, "z": 4}, 7)
+    assert reduced == (36 * 2 - 20 + 3) % 7
+    # negative values and values past the modulus, with keys that do not occur
+    for point in ({"x": -1, "y": 9, "z": -3}, {"x": 10**30 * 7 + 6, "y": -5, "z": 11, "w": 2}):
+        assert poly.evaluate(point, 7) == reduced
+    assert (X * Y).evaluate({"x": 3, "y": 2, "t": 1}) == 6
+
+
+def test_evaluate_needs_every_occurring_variable():
+    for modulus in (None, 7):
+        with pytest.raises(KeyError):
+            (X * Z + Y).evaluate({"x": 1, "y": 2}, modulus)
+        assert (X + Y).evaluate({"x": 1, "y": 2}, modulus) == 3
+
+
+def test_evaluate_at_a_polynomial_gives_a_polynomial():
+    from charvar.chebyshev import cheb, cheb_at
+
+    value = cheb(4).evaluate({"t": X})
+    assert type(value) is type(X) and value == cheb_at(4, X)
 
 
 def test_json_round_trip(rng):

@@ -3,7 +3,7 @@ import pytest
 from charvar import links, varieties
 from charvar.chebyshev import cheb, cheb_at
 from charvar.links import REDUCIBLE_SURFACE
-from charvar.polynomials import PolyRing
+from charvar.polynomials import PolyRing, Polynomial
 from charvar.traces import GAMMA, RING, X, Y, Z, parse_word, trace_poly, word_concat
 from charvar.varieties import (
     certify_pretzel_extra_twist,
@@ -114,6 +114,13 @@ def test_slice_square_up_to_constant_tests_the_positive_sign():
 def test_reducible_surface():
     assert REDUCIBLE_SURFACE == GAMMA - 2
     assert reducible_surface_check()
+
+
+def test_reducible_surface_check_needs_a_point_off_the_surface(monkeypatch):
+    # an evaluator that reads 0 everywhere passes every sample on the
+    # surface; the non-commuting pair with traces (2, 2, 3) must catch it
+    monkeypatch.setattr(Polynomial, "evaluate", lambda self, assignment, modulus=None: 0)
+    assert not reducible_surface_check()
 
 
 Q1_FAILED = "witness identity q1[x1 -> xz - y] = q failed"
@@ -338,6 +345,23 @@ def test_report_json_shape():
         k, u, v = family.comb
         assert from_json(out["univariate"]) == u * cheb(k) - v * cheb(k - 1), spec
     assert count_components_pretzel(0, -1).to_json()["unlink"] is True
+
+
+@pytest.mark.parametrize("surface", [
+    2 * X**2 + Y**2 + Z**2 - X * Y * Z - 4,  # not monic
+    Y * X**2 + Z,  # leading coefficient not a constant
+    X**2 - Y**2 * Z**2,  # discriminant 4 y^2 z^2, a square
+    X**2 + 2 * X * Y + Y**2 - Z**2,  # discriminant 4 z^2, a square
+    X * Y + Z,  # degree 1 in x
+    X**3 - Y,  # degree 3 in x
+])
+def test_surface_certificate_checks_the_planted_quadric(monkeypatch, surface):
+    varieties._surface_discriminant.cache_clear()
+    monkeypatch.setattr(varieties, "REDUCIBLE_SURFACE", surface)
+    try:
+        assert not _surface_factor().cert_ok
+    finally:
+        varieties._surface_discriminant.cache_clear()
 
 
 def test_surface_factor_is_fresh_each_time():
