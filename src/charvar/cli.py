@@ -1,5 +1,9 @@
 """Command-line front end: trace, charpoly, components, verify.
 
+`components` and `verify` check a link through `_checked`; `verify` builds
+each row in the format it prints, in its worker processes too, so a text
+run serializes no polynomial.
+
 Exit codes: 0 when every requested check passes, 1 on any verification
 mismatch (a corrupt cache entry, a polynomial failing its fingerprint or
 a count other than the paper's included), 2 on invalid input (including
@@ -151,23 +155,37 @@ def _check_limits(link):
 # -- verify drivers ---------------------------------------------------------------
 
 
-def _counted(link):
-    """(component report, the paper's count) for a link of a counted family."""
-    if isinstance(link, links.Pretzel):
-        return (varieties.count_components_pretzel(link.m, link.n),
-                varieties.pretzel_table_count(link.m, link.n))
-    if isinstance(link, links.TwistedWhitehead):
-        k = link.k
+def _checked(link, seed=None, cache_dir=None):
+    """(component report, the paper's count, passed) for a link of a counted family.
+
+    With cache_dir a two-bridge link's cached polynomial must equal the
+    report's up to sign, and with seed the report's polynomial must pass
+    its relator's fingerprint at the pair the seed draws; a failure is a note.
+    """
+    tb = None if isinstance(link, links.Pretzel) else links.as_two_bridge(link)
+    if tb is None:
+        rep = varieties.count_components_pretzel(link.m, link.n)
+        expected = varieties.pretzel_table_count(link.m, link.n)
+    elif tb.m == 3 and not isinstance(link, links.TwistedWhitehead):  # W_1 = b(8, 3)
+        rep, expected = varieties.verify_twobridge3(tb.p), 2
+    elif tb.p % 2 or tb.m != tb.p - 1:
+        raise ValueError("component counting covers b(2p,3), twisted Whitehead"
+                         " and pretzel links")
     else:
-        tb = links.as_two_bridge(link)
-        if tb.m == 3:
-            return varieties.verify_twobridge3(tb.p), 2
-        if tb.p % 2 or tb.m != tb.p - 1:
-            raise ValueError("component counting covers b(2p,3), twisted Whitehead"
-                             " and pretzel links")
-        k = (tb.p - 2) // 2
-    # n + 1 components for W_(2n-1), n + 2 for W_(2n)
-    return varieties.verify_twisted_whitehead(k), k // 2 + 2
+        # W_k = b(4k + 4, 2k + 1): n + 1 components for W_(2n-1), n + 2 for W_(2n)
+        k = tb.p // 2 - 1
+        rep, expected = varieties.verify_twisted_whitehead(k), k // 2 + 2
+    passed = rep.ok() and rep.component_count == expected
+    if cache_dir is not None and tb is not None:
+        cached = cached_char_poly(tb.p, tb.m, cache_dir)
+        if cached != rep.full and cached != -rep.full:
+            rep.notes.append("cached polynomial mismatch")
+            passed = False
+    if seed is not None and not varieties.relator_fingerprint(links.relator_word(link),
+                                                              rep.full, seed):
+        rep.notes.append("defining polynomial fails its mod-P fingerprint at --seed %d" % seed)
+        passed = False
+    return rep, expected, passed
 
 
 def _cache_dir(args):
@@ -177,24 +195,15 @@ def _cache_dir(args):
     return args.cache_dir
 
 
-def _verify_point(seed, cache_dir, link):
-    rep, expected = _counted(link)
-    row = rep.to_json()
-    row["expected_count"] = expected
-    ok = rep.ok() and rep.component_count == expected
-    if cache_dir is not None and not isinstance(link, links.Pretzel):
-        tb = links.as_two_bridge(link)
-        cached = cached_char_poly(tb.p, tb.m, cache_dir)
-        if cached != rep.full and cached != -rep.full:
-            row["notes"].append("cached polynomial mismatch")
-            ok = False
-    # the fingerprint again, at the pair the seed draws
-    if seed is not None and not varieties.relator_fingerprint(links.relator_word(link),
-                                                              rep.full, seed):
-        row["notes"].append("defining polynomial fails its mod-P fingerprint at --seed %d" % seed)
-        ok = False
-    row["pass"] = bool(ok)
-    return row
+def _verify_row(fmt, seed, cache_dir, link):
+    """(verify row as printed, passed): a JSON object, or one line of text."""
+    rep, expected, passed = _checked(link, seed, cache_dir)
+    if fmt == "json":
+        return {**rep.to_json(), "expected_count": expected, "pass": passed}, passed
+    line = ("%-18s count=%d expected=%d sign=%+d product=%s certificates=%s %s"
+            % (rep.link, rep.component_count, expected, rep.sign, rep.product_check,
+               rep.certificates_ok(), "pass" if passed else "FAIL"))
+    return line, passed
 
 
 def _run_points(fn, points, jobs):
@@ -208,26 +217,6 @@ def _run_points(fn, points, jobs):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, points))
     return [fn(point) for point in points]
-
-
-def _print_rows(rows, fmt):
-    if fmt == "json":
-        print(json.dumps(rows, indent=2))
-        return
-    for row in rows:
-        status = "pass" if row["pass"] else "FAIL"
-        print(
-            "%-18s count=%d expected=%d sign=%+d product=%s certificates=%s %s"
-            % (
-                row["link"],
-                row["component_count"],
-                row["expected_count"],
-                row["sign"],
-                row["product_check"],
-                row["certificates_ok"],
-                status,
-            )
-        )
 
 
 # -- commands ----------------------------------------------------------------------
@@ -253,7 +242,7 @@ def cmd_charpoly(args):
 
 
 def cmd_components(args):
-    rep, expected = _counted(_check_limits(links.parse_link(args.link)))
+    rep, expected, passed = _checked(_check_limits(links.parse_link(args.link)))
     if args.format == "json":
         print(json.dumps(rep.to_json(), indent=2))
     else:
@@ -272,8 +261,7 @@ def cmd_components(args):
     if rep.component_count != expected:
         print("error: %s: %d components, the paper's count is %d"
               % (rep.link, rep.component_count, expected), file=sys.stderr)
-        return 1
-    return 0 if rep.ok() else 1
+    return 0 if passed else 1
 
 
 def cmd_verify(args):
@@ -304,9 +292,11 @@ def cmd_verify(args):
     if len(points) > MAX_VERIFY_POINTS:
         raise ValueError("the given ranges contain more points than the limit of %d"
                          % MAX_VERIFY_POINTS)
-    rows = _run_points(partial(_verify_point, args.seed, cache_dir), points, args.jobs)
-    _print_rows(rows, args.format)
-    return 0 if all(row["pass"] for row in rows) else 1
+    results = _run_points(partial(_verify_row, args.format, args.seed, cache_dir), points,
+                          args.jobs)
+    rows = [row for row, _ in results]
+    print(json.dumps(rows, indent=2) if args.format == "json" else "\n".join(rows))
+    return 0 if all(passed for _, passed in results) else 1
 
 
 def build_parser():

@@ -342,8 +342,10 @@ def _compute(u):
             value, lower = cheb_pair(
                 reps,
                 trace_poly(block),
-                trace_poly(word_concat(prefix, suffix)),
-                trace_poly(word_concat(prefix, word_inverse(block), suffix)),
+                # a repeated block has an even syllable count, so prefix +
+                # suffix is reduced; trace_poly reduces the other word
+                trace_poly(prefix + suffix),
+                trace_poly(prefix + word_inverse(block) + suffix),
             )
             # lower is the trace of the word with one repeat fewer; the
             # twin lookup of trace_poly finds it under the negated key too

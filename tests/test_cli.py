@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from charvar import cli
+from charvar import cli, varieties
 from charvar.cli import main
 from charvar.links import REDUCIBLE_SURFACE
 from charvar.polynomials import from_json
@@ -160,10 +160,25 @@ def test_charpoly_checks_cache_hits_by_fingerprint(tmp_path, capsys, link, name)
 
 
 def test_verify_parallel_matches_serial(capsys):
-    code1, out1, _ = run(capsys, "verify", "3", "--k", "0..2")
-    code2, out2, _ = run(capsys, "verify", "3", "--k", "0..2", "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # rows cross the process boundary in the form they are printed in
+    for fmt in ("text", "json"):
+        argv = ("verify", "3", "--k", "0..2", "--format", fmt)
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+
+def test_text_verify_serializes_no_report(capsys, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("to_json called")
+
+    monkeypatch.setattr(varieties.ComponentReport, "to_json", refuse)
+    for argv in (("verify", "1", "--m", "0..1", "--n=-1..2"), ("verify", "3", "--k", "0..2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out.count(" pass\n") == len(out.splitlines()) > 0
+        with pytest.raises(RuntimeError, match="to_json called"):
+            run(capsys, *argv, "--format", "json")
 
 
 def test_verify_whitehead_cache_and_seed(tmp_path, capsys):

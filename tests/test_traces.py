@@ -161,6 +161,31 @@ def test_block_words_match_oracle():
         assert trace_poly(full) == trace_poly_oracle(full)
 
 
+def test_collapse_where_the_inverse_block_merges_matches_oracle(monkeypatch):
+    # the collapse traces prefix + inverse(block) + suffix as it stands: at
+    # a junction, cyclically, its syllables merge, cancel, or merge past
+    # |e| = 63, where no one-byte code exists
+    cases = (
+        ("a^2 (b a)^3 b^3", lambda e: e not in (0, 1, -1)),
+        ("a^2 (b a^2)^3 b^3", lambda e: e == 0),
+        ("a^40 (b a^-30)^3 b^5", lambda e: abs(e) > 63),
+    )
+    for text, junction in cases:
+        monkeypatch.setattr(traces, "_memo", {})
+        w = parse_word(text)
+        u = canonical_form(w)
+        prefix, block, reps, suffix = traces._find_block(u)
+        weight = sum(abs(e) for _, e in u)
+        assert 4 * (reps - 1) * sum(abs(e) for _, e in block) >= weight, text
+        inverse, rest = word_inverse(block), suffix + prefix
+        meets = ((prefix[-1], inverse[0]), (inverse[-1], rest[0]))
+        assert all(s[0] == t[0] for s, t in meets), text
+        assert any(junction(s[1] + t[1]) for s, t in meets), text
+        assert trace_poly(w) == trace_poly_oracle(w), text
+        other = prefix + inverse + suffix
+        assert trace_poly(other) == trace_poly_oracle(free_reduce(other)), text
+
+
 def test_oracle_matches_engine_on_relator_words():
     # both relator words of b(2p, 3) for p <= 22 and of W_k = b(4k+4, 2k+1)
     # for k <= 6: up to 46 syllables, beyond the random words' 12
