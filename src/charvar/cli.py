@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import islice
 
@@ -214,6 +213,8 @@ def _run_points(fn, points, jobs):
     # ask for more than there are points or CPUs
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
+        # only here: the pool pulls in multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, points))
     return [fn(point) for point in points]

@@ -420,10 +420,19 @@ class Polynomial:
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
-        if not self._packed:
+        packed = self._packed
+        if not packed:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=lambda e: (sum(e), e))
-        return exp, self.terms[exp]
+        mask = (1 << self._w) - 1
+        shifts = self.ring._shifts(self._w)
+        keys = list(packed)
+        degrees = [0] * len(keys)
+        for s in shifts:
+            degrees = list(map(add, degrees, [(k >> s) & mask for k in keys]))
+        # fields run most significant variable first, so at equal total
+        # degree the larger key is the lex-larger exponent
+        _, key = max(zip(degrees, keys))
+        return tuple([(key >> s) & mask for s in shifts]), packed[key]
 
     def leading_coefficient(self):
         return self.leading()[1]
@@ -615,6 +624,12 @@ class Polynomial:
                     rem[kb] = s
                 else:
                     del rem[kb]
+        if top >= _WIDE:
+            # as in __mul__, a bound that would widen the fields is replaced
+            # by the exact one: the quotient's largest exponent
+            quotient = Polynomial(self.ring, quot, top)
+            top = quotient._exact_top()
+            quot = quotient._at(_width(top))
         return Polynomial(self.ring, quot, top)
 
     def content(self):

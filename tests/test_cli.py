@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -385,7 +386,7 @@ def test_verify_jobs_capped_by_points_and_cpus(capsys, monkeypatch):
         def map(self, fn, points):
             return map(fn, points)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     code, _, _ = run(capsys, "verify", "3", "--k", "0..2", "--jobs", "64")
     assert code == 0 and requested == [3]
@@ -444,6 +445,17 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "pass" in proc.stdout
+
+
+def test_importing_cli_loads_no_process_pool():
+    # only `verify --jobs N` with more than one worker needs the pool
+    probe = ("import sys, charvar.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # sha256 of `charvar verify N --format json` at the default ranges, recorded

@@ -160,7 +160,7 @@ def test_evaluate_ignores_term_order_and_field_width(rng):
     forward = R.from_terms(terms)
     backward = R.from_terms(dict(reversed(list(terms.items()))))
     shift = X**1100
-    wide = (forward * shift).div_exact(shift)
+    wide = forward + shift - shift  # the looser bound keeps 11-bit fields
     assert list(forward._packed) != list(backward._packed)
     assert (forward._w, wide._w) == (10, 11) and wide == forward
     for point in (
@@ -308,6 +308,41 @@ def test_mul_monomial_times_polynomial_both_sides(rng):
         assert_product(R_WITNESS.const(-3), p)
         assert 5 * p == p * 5 == R_WITNESS.const(5) * p
         assert (mono * p).div_exact(mono) == p
+
+
+def test_div_exact_quotient_takes_its_exact_bound():
+    base = X**3 * Y + 2 * Z**5 - 7
+    shift = X**1100
+    dividend = base * shift
+    assert (dividend._top, dividend._w) == (1103, 11)
+    quot = dividend.div_exact(shift)
+    assert quot == base and (quot._top, quot._w) == (5, 10)
+    # a quotient that keeps wide exponents keeps wide fields
+    quot = (dividend * Y).div_exact(X**3 * Y)
+    assert quot == (base * X**1097) and (quot._top, quot._w) == (1100, 11)
+
+
+def test_leading_matches_the_decoded_graded_lex_max(rng):
+    def decoded(p):
+        exp = max(p.terms, key=lambda e: (sum(e), e))
+        return exp, p.terms[exp]
+
+    for ring in (R, R_WITNESS, T_RING):
+        for _ in range(200):
+            p = random_poly(rng, ring, max_terms=8, max_deg=6)
+            if p.is_zero():
+                continue
+            assert p.leading() == decoded(p)
+            # the same polynomial under 11-bit fields, and one whose
+            # exponents need them
+            shift = ring.monomial(ring.names[-1], 1100)
+            wide = p + shift - shift
+            assert wide._w == 11 and wide.leading() == decoded(p)
+            big = p * ring.monomial(ring.names[0], 1030) + p
+            assert big._w == 11 and big.leading() == decoded(big)
+            # normalizing decodes no term view
+            neg = -p
+            assert neg.normalized() == p.normalized() and neg._terms is None
 
 
 def test_gcd_with_a_monomial():

@@ -8,10 +8,12 @@ every side the snapshot records:
   * ``perfbench/run.py --workload W --seed S --seconds 25 --trace 0``,
     run unchanged for each workload of the first checkout's BENCHMARK.json
     and each seed 101-105: every run's end-to-end metrics, with their median
-    and quartiles, and the points attempted and failed;
+    and quartiles, the unscaled sweep times that run.py prints next to the
+    scaled ones, and the points attempted and failed;
   * fresh-process wall times of ``charvar verify 1``, ``verify 2`` and
     ``verify 3`` at their default ranges and of the ``trace abAB`` cold
-    start, with their medians;
+    start over 20 turns, with their medians and the turns each side was
+    the fastest in;
   * the wall time of the checkout's Tier-1 suite and its summary line;
 
 and, once, nproc and the Python version.  The sides take turns on every
@@ -34,7 +36,7 @@ import time
 
 SEEDS = (101, 102, 103, 104, 105)
 SECONDS = 25
-REPEATS = 5  # fresh processes per CLI command
+REPEATS = 20  # turns of fresh processes per CLI command
 TIER1_RUNS = 3
 COMMANDS = {
     "verify 1": ["verify", "1"],
@@ -42,6 +44,7 @@ COMMANDS = {
     "verify 3": ["verify", "3"],
     "trace abAB": ["trace", "abAB"],
 }
+UNSCALED = "unscaled (s): "  # run.py's line of unscaled medians
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -78,7 +81,11 @@ def bench_run(path, workload, seed):
     if proc.returncode != 0 or not lines:
         raise RuntimeError("%s failed (exit %d): %s" % (" ".join(cmd), proc.returncode,
                                                         proc.stderr.strip()[-500:]))
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    unscaled = next(line for line in lines if line.startswith(UNSCALED))
+    pairs = (item.split() for item in unscaled[len(UNSCALED):].split(", "))
+    result["unscaled_s"] = {m: float(v) for m, v in pairs}
+    return result
 
 
 def wall(cmd, path):
@@ -117,6 +124,7 @@ def main(argv=None):
             turn += 1
 
     times = {name: {c: [] for c in COMMANDS} for name in names}
+    wins = {name: dict.fromkeys(COMMANDS, 0) for name in names}
     for c, argv_c in COMMANDS.items():
         for _ in range(REPEATS):
             for name in _turns(names, turn):
@@ -124,8 +132,10 @@ def main(argv=None):
                 if proc.returncode != 0:
                     raise RuntimeError("%s: charvar %s exited %d" % (name, c, proc.returncode))
                 times[name][c].append(seconds)
+            wins[min(names, key=lambda n: times[n][c][-1])][c] += 1
             turn += 1
-        print("%-12s %s" % (c, "  ".join("%s %.3f s" % (n, statistics.median(times[n][c]))
+        print("%-12s %s" % (c, "  ".join("%s %.3f s (fastest in %d)"
+                                          % (n, statistics.median(times[n][c]), wins[n][c])
                                           for n in names)), flush=True)
 
     tier1 = {name: {"runs": [], "summary": None, "exit_code": None} for name in names}
@@ -146,7 +156,7 @@ def main(argv=None):
         "settings": {
             "bench": "perfbench/run.py --workload W --seed S --seconds %d --trace 0" % SECONDS,
             "seeds": list(SEEDS),
-            "fresh_process_repeats": REPEATS,
+            "fresh_process_turns": REPEATS,
             "tier1": "python3 " + " ".join(TIER1),
             "tier1_runs": TIER1_RUNS,
             "order": "sides alternate on every measurement",
@@ -165,8 +175,12 @@ def main(argv=None):
                             **_summary([r["metrics"][m]["value"] for r in runs]))
                     for m in metrics
                 },
+                "unscaled_s": {
+                    m: _summary([r["unscaled_s"][m] for r in runs]) for m in runs[0]["unscaled_s"]
+                },
             }
-        side["fresh_process_s"] = {c: _summary(times[name][c]) for c in COMMANDS}
+        side["fresh_process_s"] = {c: dict(_summary(times[name][c]), fastest_turns=wins[name][c])
+                                   for c in COMMANDS}
         side["tier1_s"] = tier1[name]
         out[name] = side
     with open(args.out, "w") as fh:
