@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 from functools import partial
-from itertools import islice
 
 from . import links, varieties
 from .polynomials import from_json
@@ -34,10 +33,6 @@ ENGINE_VERSION = "charvar-0.1.0"
 # all of it in the walk (53k-70k terms; ten words, exponents +-1..+-3 and
 # +-1).  Seeded random words of weight 100 take 0.3-0.5 s.
 MAX_TRACE_WEIGHT = 200
-
-# `verify` refuses ranges with more points than this, listing at most one
-# more and building none.  The default ranges have 81, 13 and 11 points.
-MAX_VERIFY_POINTS = 10000
 
 # `charpoly`, `components` and `verify` refuse a link above its family's
 # limit, checking every point of a range, before any polynomial is built.
@@ -206,9 +201,6 @@ def _verify_row(fmt, seed, cache_dir, link):
 
 
 def _run_points(fn, points, jobs):
-    # points are links; none is built unless all are within their limits
-    for link in points:
-        _check_limits(link)
     # a fork-started pool launches all of its workers at once, so never
     # ask for more than there are points or CPUs
     workers = min(jobs, len(points), os.cpu_count() or 1)
@@ -285,14 +277,12 @@ def cmd_verify(args):
         if lo < 0:
             raise ValueError("twist counts start at 0")
         points = (links.TwistedWhitehead(k) for k in range(lo, hi + 1))
-    # one past the limit is enough to refuse a range, however large
-    points = list(islice(points, MAX_VERIFY_POINTS + 1))
+    # listing stops at the first link above its family's limit, however
+    # large the range, and builds no polynomial
+    points = [_check_limits(link) for link in points]
     if not points:
         # a run that checks nothing must not report success
         raise ValueError("the given ranges contain no point of family %s" % args.family)
-    if len(points) > MAX_VERIFY_POINTS:
-        raise ValueError("the given ranges contain more points than the limit of %d"
-                         % MAX_VERIFY_POINTS)
     results = _run_points(partial(_verify_row, args.format, args.seed, cache_dir), points,
                           args.jobs)
     rows = [row for row, _ in results]

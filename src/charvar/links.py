@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chebyshev import cheb, cheb_at, cheb_comb
+from .chebyshev import cheb_at, cheb_comb
 from .polynomials import Polynomial
-from .traces import GAMMA, RING, X, Y, Z, parse_word, trace_poly, word_concat
+from .traces import GAMMA, X, Y, Z, parse_word, trace_poly, word_concat
 
 REDUCIBLE_SURFACE = GAMMA - 2  # x^2 + y^2 + z^2 - xyz - 4
 
@@ -241,14 +241,12 @@ def twobridge3_nonabelian(p):
     if p % 3 == 0:
         raise ValueError("p must not be divisible by 3, got %d" % p)
     n, r = divmod(p, 3)
-    sn, sn1 = cheb(n), cheb(n - 1)
+    sn, sn1 = cheb_at(n, Z), cheb_at(n - 1, Z)
     # with s = S_{n-1}(z) for p = 3n+1 and s = S_n(z) for p = 3n+2:
-    # Q_p = (x^2 + y^2) S_n S_{n-1} s - x y s (S_n^2 + S_{n-1}^2) + S_{p-1}(z);
-    # the three coefficients are built in Z[t] and moved to z
+    # Q_p = (x^2 + y^2) S_n S_{n-1} s - x y s (S_n^2 + S_{n-1}^2) + S_{p-1}(z)
     s = sn1 if r == 1 else sn
-    x2y2 = (sn * sn1 * s).map_values({"t": Z}, RING)
-    xy = (s * (sn * sn + sn1 * sn1)).map_values({"t": Z}, RING)
-    return (X * X + Y * Y) * x2y2 - X * Y * xy + cheb_at(p - 1, Z)
+    return ((X * X + Y * Y) * (sn * sn1 * s) - X * Y * (s * (sn * sn + sn1 * sn1))
+            + cheb_at(p - 1, Z))
 
 
 def twisted_whitehead_factors(k):

@@ -27,13 +27,14 @@ The memo holds one polynomial per symmetry class.  Its key,
 canonical_form, covers rotations (conjugation) and the inverse.  A
 word with every exponent negated has the same polynomial too, since
 A^-1, B^-1 and A^-1 B^-1 = (BA)^-1 have traces x, y and z, so a computed
-value is stored under that twin key as well.  The reverse of a word is
-the inverse of its negation, so it is served from the memo: for a
-palindrome w, such as a Riley word, a^-1 w a b^-1 is a rotation of the
-reverse of a w a^-1 b^-1.  A collapse also stores the word with one
-repeat fewer: cheb_pair ends on (tr(P B^r Q), tr(P B^(r-1) Q)), so a
-twisted Whitehead link's second relator word w b^-1 is served with no
-block search and no product.
+value is stored under that twin key as well; a lookup reads the word's
+own key only.  The reverse of a word is the inverse of its negation, so
+it is served from the memo: for a palindrome w, such as a Riley word,
+a^-1 w a b^-1 is a rotation of the reverse of a w a^-1 b^-1.  A
+collapse also stores the word with one repeat fewer, under its own key
+only: cheb_pair ends on (tr(P B^r Q), tr(P B^(r-1) Q)), so a twisted
+Whitehead link's second relator word w b^-1 is served with no block
+search and no product.
 
 Keys and the block search work on one-byte syllable codes: (g, e) with
 0 < |e| < 64 is the byte 64 + e for a and 192 + e for b, so byte order
@@ -313,9 +314,8 @@ _memo = {}
 def trace_poly(word):
     """The unique trace polynomial P_word in x, y, z.
 
-    A miss also looks up the twin key, the canonical form of the word
-    with every exponent negated, and a computed value is stored under
-    both keys.
+    A computed value is stored under its key and under the twin key, the
+    canonical form of the word with every exponent negated.
     """
     key, code = _canonical(word)
     value = _memo.get(key)
@@ -325,9 +325,7 @@ def trace_poly(word):
             twin = _least(tuple([(gen, -exp) for gen, exp in key]), key[::-1])
         else:
             twin = tuple(map(_SYLLABLE.__getitem__, _least(code.translate(_NEGATE), code[::-1])))
-        value = _memo.get(twin)
-        if value is None:
-            value = _memo[key] = _memo[twin] = _compute(key)
+        value = _memo[key] = _memo[twin] = _compute(key)
     return value
 
 
@@ -347,8 +345,8 @@ def _compute(u):
                 trace_poly(prefix + suffix),
                 trace_poly(prefix + word_inverse(block) + suffix),
             )
-            # lower is the trace of the word with one repeat fewer; the
-            # twin lookup of trace_poly finds it under the negated key too
+            # lower is the trace of the word with one repeat fewer, stored
+            # under its own key only
             _memo.setdefault(canonical_form(prefix + block * (reps - 1) + suffix), lower)
             return value
     return _walk(u)

@@ -502,7 +502,8 @@ def test_concurrent_cache_writers_leave_one_valid_entry(tmp_path, capsys):
 
 
 def test_verify_point_limit_exit_2(capsys, monkeypatch):
-    # the count is exact and checked before any point is built or run
+    # listing a range stops at its first link above the family's limit,
+    # however many points the range has, and nothing is run
     seen = []
 
     def record_only(fn, points, jobs):
@@ -510,24 +511,43 @@ def test_verify_point_limit_exit_2(capsys, monkeypatch):
         return []
 
     monkeypatch.setattr(cli, "_run_points", record_only)
-    limit = cli.MAX_VERIFY_POINTS
-    assert limit == 10000
-    within = (("1", "--m", "1..100", "--n", "1..100"), ("2", "--p", "1..15003"), ("3", "--k", "0..9999"))
-    for argv in within:
-        code, _, _ = run(capsys, "verify", *argv)
-        assert code == 0
-    assert seen == [limit] * 3
-    beyond = (
+    for argv in (
+        ("1", "--m", "1..100", "--n", "1..100"),
+        ("2", "--p", "1..15003"),
+        ("3", "--k", "0..9999"),
         ("1", "--m", "1..100", "--n", "1..101"),
         ("1", "--m=-100000..100000", "--n=-100000..100000"),
         ("2", "--p", "1..15004"),
         ("3", "--k", "0..10000"),
         ("3", "--k", "0..1000000000000"),
-    )
-    for argv in beyond:
+    ):
+        t0 = time.perf_counter()
         code, out, err = run(capsys, "verify", *argv)
-        assert code == 2 and out == "" and "limit of %d" % limit in err
-    assert seen == [limit] * 3
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 2 and out == "" and "is above the limit of" in err, argv
+    assert seen == []
+
+
+def test_verify_largest_ranges_run_every_point(capsys, monkeypatch):
+    seen = []
+
+    def record_only(fn, points, jobs):
+        seen.append(len(points))
+        return []
+
+    monkeypatch.setattr(cli, "_run_points", record_only)
+    for argv in (("1", "--m=-5..5", "--n=-5..5"), ("2", "--p", "4..37"), ("3", "--k", "0..24")):
+        assert run(capsys, "verify", *argv)[0] == 0
+    assert seen == [121, 23, 25]
+    # one point more names the first link past the limit
+    for argv, link in (
+        (("1", "--m=-5..5", "--n=-5..6"), "pretzel:-5,6: "),
+        (("2", "--p", "4..38"), "twobridge:38,3: "),
+        (("3", "--k", "0..25"), "whitehead:25: "),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "error: " + link in err, argv
+    assert seen == [121, 23, 25]
 
 
 class Built(Exception):
