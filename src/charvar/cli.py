@@ -37,9 +37,11 @@ MAX_TRACE_WEIGHT = 200
 # `charpoly`, `components` and `verify` refuse a link above its family's
 # limit, checking every point of a range, before any polynomial is built.
 # The slowest input at each limit on a 2-CPU VM: components pretzel:-5,-5
-# 0.4 s (pretzel:-6,-6 1.0 s, pretzel:-7,-7 3.9 s); charpoly twobridge:37,31
+# 0.34 s (pretzel:-6,-6 1.0 s, pretzel:-7,-7 3.0 s); charpoly twobridge:37,31
 # 0.35 s (the polynomials of twobridge:38,21, 44,19 and 50,27 0.1-0.35 s);
-# components whitehead:24 0.4-0.5 s.  A `verify` range takes the sum of its points.
+# components whitehead:24 0.4-0.5 s.  A `verify` range takes at most the sum
+# of its points: verify 1 --m=-5..5 --n=-5..5 takes 0.92 s (fresh-process
+# median of 9), as its points share the rows of pretzel Q.
 # MAX_TWOBRIDGE_P stays at 37 until every odd m for larger p has been timed.
 MAX_PRETZEL = 5  # max(|m|, |n|) of pretzel:m,n
 MAX_TWOBRIDGE_P = 37  # p of twobridge:p,m and of verify 2's b(2p, 3)
@@ -237,7 +239,7 @@ def cmd_charpoly(args):
 def cmd_components(args):
     rep, expected, passed = _checked(_check_limits(links.parse_link(args.link)))
     if args.format == "json":
-        print(json.dumps(rep.to_json(), indent=2))
+        print(json.dumps(rep.to_json()))
     else:
         print("%s: %d components" % (rep.link, rep.component_count))
         if rep.unlink:
@@ -286,7 +288,8 @@ def cmd_verify(args):
     results = _run_points(partial(_verify_row, args.format, args.seed, cache_dir), points,
                           args.jobs)
     rows = [row for row, _ in results]
-    print(json.dumps(rows, indent=2) if args.format == "json" else "\n".join(rows))
+    # compact: json.dumps with an indent runs the pure-Python encoder
+    print(json.dumps(rows) if args.format == "json" else "\n".join(rows))
     return 0 if all(passed for _, passed in results) else 1
 
 

@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
@@ -59,21 +60,34 @@ def plant_full_fault(monkeypatch, fault):
     monkeypatch.setattr(links, "char_poly_twobridge", planted)
 
 
-@pytest.fixture
-def planted_pretzel_fault(monkeypatch):
-    """Q(m, n) + x1 y^2 from links.pretzel_q, so full gains (gamma - 2) x1 y^2.
-
-    The closed forms are memoized: the memo is cleared on both sides.
-    """
+@contextmanager
+def plant_pretzel_fault():
+    """The planted_pretzel_fault fixture's fault, for part of a test."""
     pretzel_q = links.pretzel_q
 
     def planted(m, n, x1, y, beta):
         return pretzel_q(m, n, x1, y, beta) + x1 * y**2
 
     links.pretzel_char_poly.cache_clear()
-    monkeypatch.setattr(links, "pretzel_q", planted)
-    yield
-    links.pretzel_char_poly.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(links, "pretzel_q", planted)
+            yield
+    finally:
+        links.pretzel_char_poly.cache_clear()
+
+
+@pytest.fixture
+def planted_pretzel_fault():
+    """Q(m, n) + x1 y^2 from links.pretzel_q, so full gains (gamma - 2) x1 y^2.
+
+    Two memos hold closed forms.  pretzel_char_poly's is cleared on both
+    sides.  The Q rows of links.pretzel_q are kept, warm or cold: the
+    planted wrapper sits outside them, so every Q still passes through it
+    once and no row ever holds a planted value.
+    """
+    with plant_pretzel_fault():
+        yield
 
 
 def _plant_whitehead_fault(monkeypatch, which):

@@ -16,7 +16,7 @@ from charvar.links import REDUCIBLE_SURFACE
 from charvar.polynomials import from_json
 from charvar.traces import GAMMA, X, Y, Z
 
-from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_full_fault
+from conftest import FACTOR_FAULTS, PLANTED_FAULTS, plant_full_fault, plant_pretzel_fault
 
 
 def run(capsys, *argv):
@@ -459,9 +459,17 @@ def test_importing_cli_loads_no_process_pool():
 
 
 # sha256 of `charvar verify N --format json` at the default ranges, recorded
-# at commit adb1389; a change that alters the output on purpose updates the
-# digest and says so in CHANGES.md
+# when the output went compact (no indent); a change that alters the output
+# on purpose updates the digest and says so in CHANGES.md
 VERIFY_JSON_SHA256 = {
+    "1": "f52ab0713f89c22a49de48d780f4ca4d4e822aa3121427d65934fe00f68394cd",
+    "2": "e5663beb3d9963068882eb36bc3555e9f6dc2af1f5ede04b058a1a2e20417c93",
+    "3": "7298923c239b493c09edf3f96f409110bece82bec41071101c7b5e6325dffbce",
+}
+
+# sha256 of the same output as it was printed with indent=2 (recorded at
+# commit adb1389): the compact rows, indented again, must give these bytes
+VERIFY_INDENTED_JSON_SHA256 = {
     "1": "0f7da88edca6c0fb58f374642656e35fd0dd08ef87584f5a2c80d10cfa56c3d1",
     "2": "6f99c37b0315887f11111c2f51376488923331f815c9b41c29e2a1eacccf345c",
     "3": "b80f305fdff8f3b6657bb0483eb6523db54cf3d373ffefa0f6ac1f6915b43e9c",
@@ -478,6 +486,14 @@ def test_verify_json_output_is_pinned(family):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_JSON_SHA256[family]
+
+
+@pytest.mark.parametrize("family", sorted(VERIFY_INDENTED_JSON_SHA256))
+def test_verify_json_rows_are_those_of_the_indented_output(capsys, family):
+    code, out, _ = run(capsys, "verify", family, "--format", "json")
+    assert code == 0
+    indented = json.dumps(json.loads(out), indent=2) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == VERIFY_INDENTED_JSON_SHA256[family]
 
 
 def test_concurrent_cache_writers_leave_one_valid_entry(tmp_path, capsys):
@@ -764,6 +780,22 @@ def test_charpoly_and_seeded_verify_exit_1_on_a_planted_pretzel_fault(capsys):
     (row,) = json.loads(out)
     assert code == 1 and not row["pass"]
     assert row["notes"] == ["defining polynomial fails its mod-P fingerprint at --seed 3"]
+
+
+def test_a_planted_pretzel_fault_is_caught_with_warm_q_rows(capsys):
+    # rows of Q in all three coordinate rings, filled before the fault
+    for m in range(-2, 4):
+        for n in range(-2, 4):
+            varieties.count_components_pretzel(m, n)
+    with plant_pretzel_fault():
+        code, out, _ = run(capsys, "charpoly", "pretzel:2,3")
+        assert code == 1 and out == ""
+        code, out, _ = run(capsys, "verify", "1", "--m=2..2", "--n=3..3", "--seed", "7")
+        assert code == 1 and out.rstrip().endswith("FAIL")
+    # no row kept a planted value
+    assert varieties.count_components_pretzel(2, 3).ok()
+    code, out, _ = run(capsys, "charpoly", "pretzel:2,3")
+    assert code == 0 and out.strip()
 
 
 def test_verification_never_builds_the_conjugate_variant(monkeypatch, capsys):

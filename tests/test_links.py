@@ -1,7 +1,11 @@
+import random
+import sys
+import threading
+
 import pytest
 
-from charvar import links
-from charvar.chebyshev import cheb_at
+from charvar import links, varieties
+from charvar.chebyshev import cheb_at, cheb_comb
 from charvar.links import (
     REDUCIBLE_SURFACE,
     Pretzel,
@@ -102,6 +106,57 @@ def test_pretzel_m1_reduction_formula():
             -X * Z * cheb_at(n - 3, Y) + Z**2 * cheb_at(n - 2, Y) + cheb_at(n - 4, Y)
         )
         assert q == expected, n
+
+
+# the coordinate triples (x1, y, beta) pretzel_q runs in: the link's own,
+# and the two of the certificate chains
+PRETZEL_Q_COORDS = {
+    "RING": links.PRETZEL_COORDS,
+    "R_X1": varieties._X1_COORDS,
+    "R_B2": varieties._B2_COORDS,
+}
+
+
+@pytest.mark.parametrize("ring", list(PRETZEL_Q_COORDS))
+def test_pretzel_q_rows_give_the_closed_form_in_any_order(ring):
+    # each pass starts from an emptied memo, so every order builds its rows
+    # up, down or both ways from (Q(m, 0), Q(m, 1))
+    x1, y, beta = coords = PRETZEL_Q_COORDS[ring]
+    points = [(m, n) for m in range(-5, 6) for n in range(-5, 6)]
+    expected = {
+        (m, n): cheb_comb(n - 1, cheb_comb(m - 1, beta, y, x1), x1, cheb_comb(m, beta, 1, 1))
+        for m, n in points
+    }
+
+    def visit(order):
+        return [(m, n) for m, n in order if links.pretzel_q(m, n, *coords) != expected[m, n]]
+
+    shuffled = random.Random(31).sample(points, len(points))
+    for order in (points, points[::-1], shuffled):
+        links._q_rows.clear()
+        assert visit(order) == []
+    # four threads extend the same rows at once, each in its own order
+    links._q_rows.clear()
+    start = threading.Barrier(4, timeout=60)
+    wrong = []  # one list per thread that finished
+
+    def worker(seed):
+        order = random.Random(seed).sample(points, len(points))
+        start.wait()
+        wrong.append(visit(order))
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside a row's extension
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [[]] * 4
 
 
 def test_twobridge3_closed_form_values():
