@@ -476,6 +476,29 @@ VERIFY_INDENTED_JSON_SHA256 = {
 }
 
 
+# sha256 of `charvar verify ... --format json` at each family's CLI limit,
+# recorded at commit ca683d3: the default ranges stop at W_10, and the long
+# Chebyshev ladders run only past it
+VERIFY_LIMIT_JSON_SHA256 = {
+    ("3", "--k", "0..24"): "a83aeb05738f2cfb889cc1b9c44dd15c59a5b3d85e77335a60cc480d29b059e5",
+    ("1", "--m=-5..5", "--n=-5..5"):
+        "a60932948980f88ea335ddcff0a211ceda204384369f1110fda53b86e593cf49",
+    ("2", "--p", "4..37"): "bdd91bb5d783bb21f5732ddece4b9f1205bc2bb303b6bef189e9836add9489f9",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_LIMIT_JSON_SHA256), ids=" ".join)
+def test_verify_json_output_at_the_limits_is_pinned(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar", "verify", *args, "--format", "json"],
+        env=_cli_env(),
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_LIMIT_JSON_SHA256[args]
+
+
 @pytest.mark.parametrize("family", sorted(VERIFY_JSON_SHA256))
 def test_verify_json_output_is_pinned(family):
     proc = subprocess.run(
