@@ -10,6 +10,21 @@ cheb_pair runs it on packed term maps, up or down, and returns the pair
 the trace engine's r - 1 repeat of a collapsed block, gets it with no
 product.  The module keeps no state.  The S_k drive the component
 counts too.
+
+A long ladder runs on rows in the last variable instead (Kronecker
+substitution in that variable alone): tau, C_0 and C_{-1} are packed once
+into maps from key >> w, the packed key without its last field, to one
+int per row whose signed beta-bit digits are the row's coefficients in
+the last variable, so a step multiplies and adds a few ints per row in
+place of one dict update per pair of terms.  beta is the fewest bits
+that hold +-M, for M_{j+1} = |tau|_1 M_j + M_{j-1} started from the
+largest |coefficient| of u and of v, which bounds every coefficient of
+every C_j; so reading the final pair's digits back is exact, with no
+check and no fallback.  cheb_pair takes rows when steps * len(tau) *
+(len(u) + len(v)) reaches ROW_LADDER_MIN, measured so that no ladder of
+the benchmark's workloads slows: there the largest gamma ladders of W_8
+to W_12 take rows, and the small-m pretzel row steps and the oracle
+words' ladders do not.
 """
 
 from __future__ import annotations
@@ -22,6 +37,10 @@ from .polynomials import (
 
 T_RING = PolyRing(("t",))
 T = T_RING.var("t")
+
+# cheb_pair steps on rows once steps * len(tau) * (len(u) + len(v)) reaches
+# this; below it packing and unpacking cost more than the rows save
+ROW_LADDER_MIN = 3500
 
 
 @lru_cache(maxsize=None)
@@ -71,14 +90,77 @@ def cheb_pair(k, tau, u, v):
     t = tau._at(w)
     # going down, C_{j-1} = tau C_j - C_{j+1} is the same step on the swapped pair
     a, b = (hi._at(w), lo._at(w)) if k > 0 else (lo._at(w), hi._at(w))
+    if steps * len(t) * (len(a) + len(b)) >= ROW_LADDER_MIN:
+        a, b = _row_steps(steps, t, a, b, w)
+    else:
+        a, b = _steps(steps, t, a, b)
+    a, b = Polynomial(ring, a, top), Polynomial(ring, b, top)
+    return (a, b) if k > 0 else (b, a)
+
+
+def _steps(steps, t, a, b):
+    """The pair (a, b) -> (t a - b, a) taken steps times on packed maps (or on rows)."""
     for _ in range(steps):
         # the smaller map is the outer loop, as in __mul__
         small, large = (t, a) if len(t) <= len(a) else (a, t)
         c = _packed_product(small.items(), large.items())
         _sub_into(c, b)
         a, b = c, a
-    a, b = Polynomial(ring, a, top), Polynomial(ring, b, top)
-    return (a, b) if k > 0 else (b, a)
+    return a, b
+
+
+def _row_steps(steps, t, a, b, w):
+    """_steps on rows in the last variable, for packed maps with w-bit fields.
+
+    A row is its part of a member at last variable = 2**beta, a ring
+    homomorphism, so only the pair the steps end on must fit the digits:
+    M_j, from the largest |coefficient| of a and of b, bounds the
+    coefficients of the j-th member, and beta bits hold +-M_j.
+    """
+    norm = sum(map(abs, t.values()))
+    ma, mb = (max(map(abs, p.values()), default=0) for p in (a, b))
+    for _ in range(steps):
+        ma, mb = norm * ma + mb, ma
+    beta = max(ma, mb).bit_length() + 1
+    a, b = _steps(steps, _rows(t, w, beta), _rows(a, w, beta), _rows(b, w, beta))
+    return _unrows(a, w, beta), _unrows(b, w, beta)
+
+
+def _rows(packed, w, beta):
+    """A packed map as rows: key >> w to the int sum of c << beta e, e the last field."""
+    field = (1 << w) - 1
+    rows = {}
+    get = rows.get
+    for key, c in packed.items():
+        r = key >> w
+        rows[r] = get(r, 0) + (c << beta * (key & field))
+    return rows
+
+
+def _unrows(rows, w, beta):
+    """The packed map of rows whose digits are in [-2**(beta - 1), 2**(beta - 1)).
+
+    half is added to every digit of a row first, so each digit is read
+    with one shift and one mask, from the lowest.
+    """
+    mask = (1 << beta) - 1
+    half = 1 << (beta - 1)
+    biases = {}  # the int with half in each of its lowest L digits, by L
+    packed = {}
+    for r, n in rows.items():
+        # no nonzero digit is above the L-th
+        L = n.bit_length() // beta + 1
+        bias = biases.get(L)
+        if bias is None:
+            bias = biases[L] = half * (((1 << beta * L) - 1) // mask)
+        n += bias
+        key = r << w
+        for shift in range(0, beta * L, beta):
+            d = ((n >> shift) & mask) - half
+            if d:
+                packed[key] = d
+            key += 1
+    return packed
 
 
 def cheb_diff(k):

@@ -1,8 +1,9 @@
 """Command-line front end: trace, charpoly, components, verify.
 
 `components` and `verify` check a link through `_checked`; `verify` builds
-each row in the format it prints, in its worker processes too, so a text
-run serializes no polynomial.
+each row as the text it prints, a line or a JSON object, in its worker
+processes too, so only strings are pickled and no run holds every row's
+objects.
 
 Exit codes: 0 when every requested check passes, 1 on any verification
 mismatch (a corrupt cache entry, a polynomial failing its fingerprint or
@@ -39,9 +40,10 @@ MAX_TRACE_WEIGHT = 200
 # The slowest input at each limit on a 2-CPU VM: components pretzel:-5,-5
 # 0.34 s (pretzel:-6,-6 1.0 s, pretzel:-7,-7 3.0 s); charpoly twobridge:37,31
 # 0.35 s (the polynomials of twobridge:38,21, 44,19 and 50,27 0.1-0.35 s);
-# components whitehead:24 0.4-0.5 s.  A `verify` range takes at most the sum
-# of its points: verify 1 --m=-5..5 --n=-5..5 takes 0.92 s (fresh-process
-# median of 9), as its points share the rows of pretzel Q.
+# components whitehead:24 0.21 s.  A `verify` range takes at most the sum of
+# its points: verify 1 --m=-5..5 --n=-5..5 takes 0.71 s (peak RSS 47.1 MB;
+# 0.97 s and 62.5 MB as JSON), as its points share the rows of pretzel Q,
+# and verify 3 --k 0..24 0.56 s (fresh-process medians of 11).
 # MAX_TWOBRIDGE_P stays at 37 until every odd m for larger p has been timed.
 MAX_PRETZEL = 5  # max(|m|, |n|) of pretzel:m,n
 MAX_TWOBRIDGE_P = 37  # p of twobridge:p,m and of verify 2's b(2p, 3)
@@ -192,10 +194,10 @@ def _cache_dir(args):
 
 
 def _verify_row(fmt, seed, cache_dir, link):
-    """(verify row as printed, passed): a JSON object, or one line of text."""
+    """(verify row as printed, passed): a JSON object's text, or one line of text."""
     rep, expected, passed = _checked(link, seed, cache_dir)
     if fmt == "json":
-        return {**rep.to_json(), "expected_count": expected, "pass": passed}, passed
+        return json.dumps({**rep.to_json(), "expected_count": expected, "pass": passed}), passed
     line = ("%-18s count=%d expected=%d sign=%+d product=%s certificates=%s %s"
             % (rep.link, rep.component_count, expected, rep.sign, rep.product_check,
                rep.certificates_ok(), "pass" if passed else "FAIL"))
@@ -288,8 +290,8 @@ def cmd_verify(args):
     results = _run_points(partial(_verify_row, args.format, args.seed, cache_dir), points,
                           args.jobs)
     rows = [row for row, _ in results]
-    # compact: json.dumps with an indent runs the pure-Python encoder
-    print(json.dumps(rows) if args.format == "json" else "\n".join(rows))
+    # the bytes of json.dumps(rows), compact, without holding every row's objects
+    print("[" + ", ".join(rows) + "]" if args.format == "json" else "\n".join(rows))
     return 0 if all(passed for _, passed in results) else 1
 
 

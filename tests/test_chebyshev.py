@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from charvar import traces
+from charvar import chebyshev, links, traces, varieties
 from charvar.chebyshev import (
-    T, cheb, cheb_at, cheb_comb, cheb_diff, cheb_pair, distinct_root_count,
+    T, T_RING, cheb, cheb_at, cheb_comb, cheb_diff, cheb_pair, distinct_root_count,
 )
 from charvar.links import relator_words, riley_word
-from charvar.polynomials import PolyRing, poly_gcd
+from charvar.polynomials import PolyRing, _width, poly_gcd
 from charvar.traces import trace_poly
 
 
@@ -203,3 +203,98 @@ def test_whitehead_relator_traces_with_cold_and_warm_memos(monkeypatch):
             monkeypatch.setattr(traces, "_memo", {})
             warm = [json.dumps(trace_poly(u).to_json()) for u in order]
             assert warm == (cold if order is words else cold[::-1]), k
+
+
+def _ladder(k, tau, u, v):
+    # the operands cheb_pair hands its loops: steps, then tau and the start
+    # pair, going down the swapped one, at a width that holds every exponent
+    u, v = (tau.ring.const(c) if isinstance(c, int) else c for c in (u, v))
+    steps = abs(k)
+    w = _width(max(u._exact_top(), v._exact_top()) + steps * tau._exact_top())
+    a, b = (u._at(w), v._at(w)) if k > 0 else (v._at(w), u._at(w))
+    return steps, tau._at(w), a, b, w
+
+
+def _random_poly(rng, ring, terms, degree, coeff):
+    return ring.from_terms({
+        tuple(rng.randint(0, degree) for _ in ring.names): rng.choice((-1, 1)) * rng.randint(1, coeff)
+        for _ in range(terms)
+    })
+
+
+def _row_cases():
+    rng = random.Random(32)
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(n) for n in R3.names)
+    t = T_RING.var("t")
+    cases = [
+        (R3.const(-3), 2, -1),  # constant tau, int u and v
+        (R3.const(5), x * z - 4, 0),  # zero v
+        (x * z - y, 0, z**2 + 7),  # zero u
+        (x**2 + y**2 + z**2 - x * y * z - 2, z, x * y - z),  # gamma
+        (3 * z**2 - 7 * x * z + 2, -5 * y + z, 11),  # negative and non-unit coefficients
+        (t**2 - 2, t + 1, -3),  # one variable: one row
+        (t**100 - 2 * t + 1, 1, t),  # top reaches 1024: fields of 11 bits
+        (x * z**95 - 3 * y, z**5, x + z),  # top reaches 1024 in three variables
+    ]
+    for ring, degree in ((R3, 3), (T_RING, 4)):
+        for _ in range(6):
+            tau = _random_poly(rng, ring, rng.randint(1, 5), degree, 9)
+            u = _random_poly(rng, ring, rng.randint(1, 6), degree, 1000)
+            v = rng.choice([0, rng.randint(-50, 50), _random_poly(rng, ring, 4, degree, 10**12)])
+            cases.append((tau, u, v))
+    return cases
+
+
+def test_row_loop_gives_the_term_loop_pair():
+    for tau, u, v in _row_cases():
+        for k in (-11, -4, -1, 0, 1, 2, 5, 11):
+            steps, t, a, b, w = _ladder(k, tau, u, v)
+            want = chebyshev._steps(steps, t, a, b)
+            assert chebyshev._row_steps(steps, t, a, b, w) == want, (tau, u, v, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_row_digits_hold_the_bound(k):
+    # tau = c z from (1, -1): C_k's top coefficient c^k has the bit length
+    # of the coefficient bound, so a digit one bit narrower misreads it
+    c = 1 << 20
+    z = PolyRing(("x", "y", "z")).var("z")
+    steps, t, a, b, w = _ladder(k, c * z, 1, -1)
+    hi, lo = chebyshev._row_steps(steps, t, a, b, w)
+    assert (hi, lo) == chebyshev._steps(steps, t, a, b)
+    assert hi[k] == c**k
+
+
+def test_long_ladders_take_rows_and_small_pretzel_row_steps_do_not(monkeypatch):
+    loops = []  # (loop, region) per call of either loop
+    region = [None]  # the wrapped caller running, if any
+    for name in ("_steps", "_row_steps"):
+        def recorded(*args, _loop=getattr(chebyshev, name), _name=name):
+            loops.append((_name, region[0]))
+            return _loop(*args)
+        monkeypatch.setattr(chebyshev, name, recorded)
+
+    def within(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            region[0] = name
+            try:
+                return fn(*args)
+            finally:
+                region[0] = None
+        monkeypatch.setattr(module, name, wrapped)
+
+    within(varieties, "_report")
+    within(links, "_extend_row")
+    varieties.verify_twisted_whitehead(12)
+    # the W_12 report ladder is S_5(gamma) times the other factors; the row
+    # loop takes its steps through _steps on rows
+    assert [loop for loop, where in loops if where == "_report"] == ["_row_steps", "_steps"]
+    loops.clear()
+    monkeypatch.setattr(links, "_q_rows", {})
+    for n in range(-5, 6):
+        links.pretzel_q(2, n, *links.PRETZEL_COORDS)
+    stepped = [loop for loop, where in loops if where == "_extend_row"]
+    assert stepped and set(stepped) == {"_steps"}

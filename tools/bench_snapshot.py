@@ -11,9 +11,10 @@ every side the snapshot records:
     and quartiles, the unscaled sweep times that run.py prints next to the
     scaled ones, and the points attempted and failed;
   * fresh-process wall times of ``charvar verify 1``, ``verify 2`` and
-    ``verify 3`` at their default ranges and of the ``trace abAB`` cold
-    start over 20 turns, with their medians and the turns each side was
-    the fastest in;
+    ``verify 3`` at their default ranges, of ``verify 3 --k 0..24`` and
+    ``verify 1 --m=-5..5 --n=-5..5`` at the CLI limits and of the
+    ``trace abAB`` cold start over 20 turns, with their medians and the
+    turns each side was the fastest in;
   * the wall time of the checkout's Tier-1 suite and its summary line;
 
 and, once, nproc and the Python version.  The sides take turns on every
@@ -42,6 +43,8 @@ COMMANDS = {
     "verify 1": ["verify", "1"],
     "verify 2": ["verify", "2"],
     "verify 3": ["verify", "3"],
+    "verify 3 --k 0..24": ["verify", "3", "--k", "0..24"],
+    "verify 1 --m=-5..5 --n=-5..5": ["verify", "1", "--m=-5..5", "--n=-5..5"],
     "trace abAB": ["trace", "abAB"],
 }
 UNSCALED = "unscaled (s): "  # run.py's line of unscaled medians
