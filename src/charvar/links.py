@@ -19,10 +19,10 @@ Q(m, n + 1) = alpha Q(m, n) - Q(m, n - 1) from Q(m, 1) = x1 and
 Q(m, 0) = c, so pretzel_q keeps one row per (m, coordinates): alpha and
 every Q(m, j) built so far, j over a range that contains 0 and 1.  A
 new n costs one product by alpha per step beyond the row's end.  The
-rows live as long as the process; in RING they hold the same Q objects
-as pretzel_char_poly's memo, and the certificate chains' two coordinate
-rings keep their own.  Over [-5, 5]^2 they raise the peak RSS of
-`charvar verify 1 --m=-5..5 --n=-5..5` from 44.8 to 47.4 MB.
+rows live as long as the process, and the certificate chains' two
+coordinate rings keep their own.  pretzel_char_poly keeps nothing.
+Over [-5, 5]^2 the rows raise the peak RSS of
+`charvar verify 1 --m=-5..5 --n=-5..5` from 33.2 to 39.4 MB.
 """
 
 from __future__ import annotations
@@ -154,10 +154,10 @@ def char_poly_variants(p, m):
     Returns (P_{a w a^-1 b^-1} - P_{w b^-1}, P_{a^-1 w a b^-1} - P_{w b^-1}),
     the first the memoised char_poly_twobridge(p, m).full.  A Riley word
     is a palindrome, so the second left word is a rotation of the reverse
-    of the first, and the trace memo serves its polynomial from the
-    first's: the two are the same polynomial.  Verification does not call
-    this; it checks full itself by an exact fingerprint along the second
-    pair of words (varieties.relator_fingerprint).
+    of the first, and the two are the same polynomial; the trace memo
+    keys the two left words apart, so the second is computed.  Verification
+    does not call this; it checks full itself by an exact fingerprint
+    along the second pair of words (varieties.relator_fingerprint).
     """
     full = char_poly_twobridge(p, m).full
     return full, _relator_difference(riley_word(p, m), conjugate_by_inverse=True)
@@ -258,7 +258,6 @@ def pretzel_nonabelian(m, n):
     return pretzel_q(m, n, *PRETZEL_COORDS)
 
 
-@lru_cache(maxsize=None)
 def pretzel_char_poly(m, n):
     """Defining polynomial of the (-2, 2m+1, 2n)-pretzel link.
 

@@ -23,27 +23,24 @@ The trace of p0 + p1 a + p2 b + p3 ab is 2 p0 + x p1 + y p2 + z p3, so
 the walk, rotated to end on the heaviest syllable, takes that syllable
 in one row, this trace row times its rows, and forms only the trace.
 
-The memo holds one polynomial per symmetry class.  Its key,
-canonical_form, covers rotations (conjugation) and the inverse.  A
-word with every exponent negated has the same polynomial too, since
-A^-1, B^-1 and A^-1 B^-1 = (BA)^-1 have traces x, y and z, so a computed
-value is stored under that twin key as well; a lookup reads the word's
-own key only.  The reverse of a word is the inverse of its negation, so
-it is served from the memo: for a palindrome w, such as a Riley word,
-a^-1 w a b^-1 is a rotation of the reverse of a w a^-1 b^-1.  A
-collapse also stores the word with one repeat fewer, under its own key
-only: cheb_pair ends on (tr(P B^r Q), tr(P B^(r-1) Q)), so a twisted
-Whitehead link's second relator word w b^-1 is served with no block
-search and no product.
+The memo holds one polynomial per class under conjugation and
+inversion, stored under that class's key, canonical_form.  A word with
+every exponent negated, and so the reverse of a word (the inverse of
+its negation), has the same polynomial, since A^-1, B^-1 and
+A^-1 B^-1 = (BA)^-1 have traces x, y and z; it is a class of its own
+and is computed on its first lookup.  A collapse also stores the word
+with one repeat fewer: cheb_pair ends on (tr(P B^r Q), tr(P B^(r-1) Q)),
+so a twisted Whitehead link's second relator word w b^-1 is served with
+no block search and no product.
 
 Keys and the block search work on one-byte syllable codes: (g, e) with
 0 < |e| < 64 is the byte 64 + e for a and 192 + e for b, so byte order
-is the syllables' tuple order and negating every exponent is one
-bytes.translate.  canonical_form compares the rotations that start at
-the least byte as slices of the doubled code, and reduces a word as
-syllables only when its generator bytes do not alternate around the
-cycle, so the twin key (one translate of the key's code) and a kept
-neighbour (reduced as it is built) are never reduced again.
+is the syllables' tuple order and the inverse is the reversed code
+under one bytes.translate.  canonical_form compares the rotations that
+start at the least byte as slices of the doubled code, and reduces a
+word as syllables only when its generator bytes do not alternate
+around the cycle, so a kept neighbour (reduced as it is built) is
+never reduced again.
 _find_block takes the agreement of the doubled code with itself
 shifted by L syllables from one int XOR.  A word with a syllable
 |e| >= 64 takes the same steps on syllable tuples and small int codes.
@@ -278,18 +275,9 @@ def canonical_form(word):
     rotation starts at the least syllable, so only those rotations are
     compared, as slices of the doubled one-byte code, whose byte order
     is the syllables' tuple order (of the doubled syllable tuple where a
-    syllable has no code).
-    """
-    return _canonical(word)[0]
-
-
-def _canonical(word):
-    """(canonical_form(word), its one-byte code), the code None outside the table.
-
-    A word whose syllables all have codes and whose generator bytes
-    alternate around the cycle is cyclically reduced as it stands; any
-    other word is reduced as syllables first.  A reduced word with a
-    syllable outside the table takes the least rotation as tuples.
+    syllable has no code).  A word whose syllables all have codes and
+    whose generator bytes alternate around the cycle is cyclically
+    reduced as it stands; any other word is reduced as syllables first.
     """
     word = tuple(word)
     code = _encode(word)
@@ -301,9 +289,8 @@ def _canonical(word):
         word = cyclic_reduce(free_reduce(word))
         code = _encode(word)
         if code is None:
-            return _least(word, word_inverse(word)), None
-    code = _least(code, code[::-1].translate(_NEGATE))
-    return tuple(map(_SYLLABLE.__getitem__, code)), code
+            return _least(word, word_inverse(word))
+    return tuple(map(_SYLLABLE.__getitem__, _least(code, code[::-1].translate(_NEGATE))))
 
 
 # -- the engine: block collapse, then the walk ------------------------------
@@ -312,20 +299,11 @@ _memo = {}
 
 
 def trace_poly(word):
-    """The unique trace polynomial P_word in x, y, z.
-
-    A computed value is stored under its key and under the twin key, the
-    canonical form of the word with every exponent negated.
-    """
-    key, code = _canonical(word)
+    """The unique trace polynomial P_word in x, y, z, memoized under canonical_form(word)."""
+    key = canonical_form(word)
     value = _memo.get(key)
     if value is None:
-        # the negated key is cyclically reduced, and its inverse is the key reversed
-        if code is None:
-            twin = _least(tuple([(gen, -exp) for gen, exp in key]), key[::-1])
-        else:
-            twin = tuple(map(_SYLLABLE.__getitem__, _least(code.translate(_NEGATE), code[::-1])))
-        value = _memo[key] = _memo[twin] = _compute(key)
+        value = _memo[key] = _compute(key)
     return value
 
 
@@ -345,8 +323,7 @@ def _compute(u):
                 trace_poly(prefix + suffix),
                 trace_poly(prefix + word_inverse(block) + suffix),
             )
-            # lower is the trace of the word with one repeat fewer, stored
-            # under its own key only
+            # lower is the trace of the word with one repeat fewer
             _memo.setdefault(canonical_form(prefix + block * (reps - 1) + suffix), lower)
             return value
     return _walk(u)

@@ -68,23 +68,18 @@ def plant_pretzel_fault():
     def planted(m, n, x1, y, beta):
         return pretzel_q(m, n, x1, y, beta) + x1 * y**2
 
-    links.pretzel_char_poly.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(links, "pretzel_q", planted)
-            yield
-    finally:
-        links.pretzel_char_poly.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(links, "pretzel_q", planted)
+        yield
 
 
 @pytest.fixture
 def planted_pretzel_fault():
     """Q(m, n) + x1 y^2 from links.pretzel_q, so full gains (gamma - 2) x1 y^2.
 
-    Two memos hold closed forms.  pretzel_char_poly's is cleared on both
-    sides.  The Q rows of links.pretzel_q are kept, warm or cold: the
-    planted wrapper sits outside them, so every Q still passes through it
-    once and no row ever holds a planted value.
+    The Q rows of links.pretzel_q are kept, warm or cold: the planted
+    wrapper sits outside them, so every Q still passes through it once
+    and no row ever holds a planted value.
     """
     with plant_pretzel_fault():
         yield

@@ -565,18 +565,28 @@ def test_negated_and_reversed_words_share_one_polynomial(monkeypatch):
             assert trace_poly(u) == oracle, u
 
 
-def test_reverse_and_negation_are_served_from_the_memo(monkeypatch):
+def test_reverse_and_negation_trace_alike_with_cold_and_warm_memos(monkeypatch):
+    # the reverse of a word is the inverse of its negation: the three words
+    # share one polynomial, computed under each word's own key
     computed = []
     compute = traces._compute
     monkeypatch.setattr(traces, "_compute", lambda u: computed.append(u) or compute(u))
     for w in [parse_word("a b^2 A^3 B")] + list(relator_words(riley_word(11, 3))):
-        monkeypatch.setattr(traces, "_memo", {})
+        words = (w, tuple(reversed(w)), _negated(w))
+        expected = trace_poly_oracle(w)
+        for u in words:
+            monkeypatch.setattr(traces, "_memo", {})
+            assert trace_poly(u) == expected, u
+        memo = _KeptNeighbours()
+        monkeypatch.setattr(traces, "_memo", memo)
         computed.clear()
-        value = trace_poly(w)
-        top = len(computed)
-        assert trace_poly(tuple(reversed(w))) is value
-        assert trace_poly(_negated(w)) is value
-        assert len(computed) == top, w
+        for u in words + words:
+            assert trace_poly(u) == expected, u
+        # each _compute call stores one key, the word's own canonical form;
+        # any other key is a kept neighbour stored through setdefault
+        kept = {key for key, _ in memo.kept} - set(computed)
+        assert all(canonical_form(u) == u for u in computed)
+        assert len(set(computed)) == len(computed) == len(memo) - len(kept), w
     # a Riley word is a palindrome, so the conjugate variant's left word
     # a^-1 w a b^-1 is a rotation of the reverse of a w a^-1 b^-1
     w = riley_word(11, 3)
@@ -681,15 +691,15 @@ def test_canonical_form_brute_force_beyond_the_code_table(rng):
             canonical_form(word)
 
 
-def test_trace_poly_beyond_the_code_table_serves_reverse_and_negation(monkeypatch):
-    monkeypatch.setattr(traces, "_memo", {})
+def test_trace_poly_beyond_the_code_table_traces_reverse_and_negation_alike(monkeypatch):
     word = parse_word("a^70 b^2 A^3 B")
     expected = trace_poly_oracle(word)
-    assert trace_poly(word) == expected
-    computed = len(traces._memo)
-    assert trace_poly(parse_word("B A^3 b^2 a^70")) == expected
-    assert trace_poly(parse_word("A^70 b^-2 a^3 b")) == expected
-    assert len(traces._memo) == computed
+    words = (word, parse_word("B A^3 b^2 a^70"), parse_word("A^70 b^-2 a^3 b"))
+    for u in words:
+        monkeypatch.setattr(traces, "_memo", {})
+        assert trace_poly(u) == expected, u
+    for u in words + words:
+        assert trace_poly(u) == expected, u
 
 
 def test_find_block_matches_reference_beyond_the_code_table(rng):

@@ -14,7 +14,8 @@ every side the snapshot records:
     ``verify 3`` at their default ranges, of ``verify 3 --k 0..24`` and
     ``verify 1 --m=-5..5 --n=-5..5`` at the CLI limits and of the
     ``trace abAB`` cold start over 20 turns, with their medians and the
-    turns each side was the fastest in;
+    turns each side was the fastest in, and each run's peak RSS, read
+    from that child's rusage;
   * the wall time of the checkout's Tier-1 suite and its summary line;
 
 and, once, nproc and the Python version.  The sides take turns on every
@@ -33,6 +34,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SEEDS = (101, 102, 103, 104, 105)
@@ -92,9 +94,22 @@ def bench_run(path, workload, seed):
 
 
 def wall(cmd, path):
-    start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=path, env=_env(path), capture_output=True, text=True)
-    return time.perf_counter() - start, proc
+    """(seconds, CompletedProcess, peak RSS in MB) of one run of cmd in a fresh process.
+
+    The child is reaped with os.wait4, whose rusage is that child's alone;
+    its output goes to temporary files, so no pipe can fill while it runs.
+    """
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(cmd, cwd=path, env=_env(path), stdout=out, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        proc = subprocess.CompletedProcess(cmd, child.returncode, out.read().decode(),
+                                           err.read().decode())
+    return seconds, proc, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
 def main(argv=None):
@@ -127,24 +142,27 @@ def main(argv=None):
             turn += 1
 
     times = {name: {c: [] for c in COMMANDS} for name in names}
+    rss = {name: {c: [] for c in COMMANDS} for name in names}
     wins = {name: dict.fromkeys(COMMANDS, 0) for name in names}
     for c, argv_c in COMMANDS.items():
         for _ in range(REPEATS):
             for name in _turns(names, turn):
-                seconds, proc = wall([sys.executable, "-m", "charvar", *argv_c], paths[name])
+                seconds, proc, peak = wall([sys.executable, "-m", "charvar", *argv_c], paths[name])
                 if proc.returncode != 0:
                     raise RuntimeError("%s: charvar %s exited %d" % (name, c, proc.returncode))
                 times[name][c].append(seconds)
+                rss[name][c].append(peak)
             wins[min(names, key=lambda n: times[n][c][-1])][c] += 1
             turn += 1
-        print("%-12s %s" % (c, "  ".join("%s %.3f s (fastest in %d)"
-                                          % (n, statistics.median(times[n][c]), wins[n][c])
+        print("%-12s %s" % (c, "  ".join("%s %.3f s (fastest in %d) %.1f MB"
+                                          % (n, statistics.median(times[n][c]), wins[n][c],
+                                             statistics.median(rss[n][c]))
                                           for n in names)), flush=True)
 
     tier1 = {name: {"runs": [], "summary": None, "exit_code": None} for name in names}
     for _ in range(TIER1_RUNS):
         for name in _turns(names, turn):
-            seconds, proc = wall([sys.executable, *TIER1], paths[name])
+            seconds, proc, _ = wall([sys.executable, *TIER1], paths[name])
             tier1[name]["runs"].append(seconds)
             tier1[name]["summary"] = (proc.stdout.strip().splitlines() or [""])[-1]
             tier1[name]["exit_code"] = proc.returncode
@@ -184,6 +202,7 @@ def main(argv=None):
             }
         side["fresh_process_s"] = {c: dict(_summary(times[name][c]), fastest_turns=wins[name][c])
                                    for c in COMMANDS}
+        side["fresh_process_peak_rss_mb"] = {c: _summary(rss[name][c]) for c in COMMANDS}
         side["tier1_s"] = tier1[name]
         out[name] = side
     with open(args.out, "w") as fh:
