@@ -7,7 +7,7 @@ algebra system.  Polynomials live in a ring with a fixed variable order
 """
 
 from charvar import PolyRing, is_perfect_square, poly_gcd
-from charvar.chebyshev import T, cheb, cheb_diff, distinct_root_count
+from charvar.chebyshev import T, cheb, distinct_root_count
 
 R = PolyRing(("x", "y", "z"))
 x, y, z = R.var("x"), R.var("y"), R.var("z")
@@ -35,7 +35,7 @@ for k in (-3, -1, 0, 1, 4):
 # Consecutive ones are coprime, and all roots are simple:
 print("gcd(S_7, S_6) =", poly_gcd(cheb(7), cheb(6)))
 print("distinct roots of S_9:", distinct_root_count(cheb(9)))
-print("distinct roots of S_5 - S_4:", distinct_root_count(cheb_diff(5)))
+print("distinct roots of S_5 - S_4:", distinct_root_count(cheb(5) - cheb(4)))
 
 # The triple-index identity, exactly:
 k = 5

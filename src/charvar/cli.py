@@ -41,9 +41,10 @@ MAX_TRACE_WEIGHT = 200
 # 0.34 s (pretzel:-6,-6 1.0 s, pretzel:-7,-7 3.0 s); charpoly twobridge:37,31
 # 0.35 s (the polynomials of twobridge:38,21, 44,19 and 50,27 0.1-0.35 s);
 # components whitehead:24 0.21 s.  A `verify` range takes at most the sum of
-# its points: verify 1 --m=-5..5 --n=-5..5 takes 0.71 s (peak RSS 39.4 MB;
-# 0.97 s and 54.7 MB as JSON), as its points share the rows of pretzel Q,
-# and verify 3 --k 0..24 0.56 s (fresh-process medians of 11).
+# its points: verify 1 --m=-5..5 --n=-5..5 takes 0.73 s (peak RSS 39.4 MB;
+# 0.94 s and 54.7 MB as JSON), as its points share the rows of pretzel Q,
+# and verify 3 --k 0..24 0.55 s (47.6 MB; 0.58 s and 51.4 MB as JSON)
+# (fresh-process medians of 11).
 # MAX_TWOBRIDGE_P stays at 37 until every odd m for larger p has been timed.
 MAX_PRETZEL = 5  # max(|m|, |n|) of pretzel:m,n
 MAX_TWOBRIDGE_P = 37  # p of twobridge:p,m and of verify 2's b(2p, 3)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from . import links
-from .chebyshev import T, cheb_at, cheb_comb, distinct_root_count
+from .chebyshev import T, cheb_at, cheb_comb, cheb_comb_sign, distinct_root_count
 from .links import REDUCIBLE_SURFACE
 from .polynomials import PolyRing, Polynomial, is_perfect_square, poly_gcd
 from .traces import GAMMA, RING, X, Y, Z
@@ -400,6 +400,14 @@ def _report(link, factors, full, word=None, notes=()):
     the small inner instead of by the factor.  The factor's own
     polynomial is checked instead, by _family_fingerprint.
 
+    The product through the last family factor is never unpacked:
+    cheb_comb_sign(k, inner, u R, v R, full) says whether full is + or -
+    it.  The comparison is exact.  On rows, full is refused if any of its
+    coefficients reaches 2**(beta - 1), which no coefficient of the
+    product reaches; below that bound a row's digits are its
+    coefficients, so equal rows are equal polynomials.  A report without
+    a family factor compares full with the product by ==.
+
     With word, the link's relator word, full must also pass relator_fingerprint.
     """
     prod = RING.one()
@@ -408,15 +416,19 @@ def _report(link, factors, full, word=None, notes=()):
     for f in reversed(factors):
         if f.comb is None:
             prod = prod * f.poly
-    for f in factors:
-        if f.comb is not None:
-            k, u, v = f.comb
-            prod = cheb_comb(k, f.inner, prod if u else 0, prod if v else 0)
-    sign = _match_sign(full, prod)
+    family = [f for f in factors if f.comb is not None]
+    for f in family[:-1]:
+        k, u, v = f.comb
+        prod = cheb_comb(k, f.inner, prod if u else 0, prod if v else 0)
+    if family:
+        k, u, v = family[-1].comb
+        sign = cheb_comb_sign(k, family[-1].inner, prod if u else 0, prod if v else 0, full)
+    else:
+        sign = _match_sign(full, prod)
     notes = list(notes)
     if sign == 0:
         notes.append("defining polynomial does not match the product of the factors")
-    if not all(_family_fingerprint(f) for f in factors if f.comb is not None):
+    if not all(_family_fingerprint(f) for f in family):
         notes.append("Chebyshev family factor fails its mod-P fingerprint")
         sign = 0
     if word is not None and not relator_fingerprint(word, full):

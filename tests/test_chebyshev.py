@@ -5,11 +5,12 @@ import pytest
 
 from charvar import chebyshev, links, traces, varieties
 from charvar.chebyshev import (
-    T, T_RING, cheb, cheb_at, cheb_comb, cheb_diff, cheb_pair, distinct_root_count,
+    T, T_RING, cheb, cheb_at, cheb_comb, cheb_comb_sign, cheb_pair, distinct_root_count,
 )
 from charvar.links import relator_words, riley_word
-from charvar.polynomials import PolyRing, _width, poly_gcd
-from charvar.traces import trace_poly
+from charvar.polynomials import _WIDE, PolyRing, Polynomial, _width, poly_gcd
+from charvar.traces import GAMMA, trace_poly
+from charvar.varieties import _match_sign
 
 
 def test_base_values():
@@ -66,18 +67,18 @@ def test_consecutive_coprime():
 
 
 def test_cheb_diff():
-    assert cheb_diff(1) == T - 1
-    assert cheb_diff(2) == T**2 - T - 1
-    assert cheb_diff(0) == 1
+    assert cheb(1) - cheb(0) == T - 1
+    assert cheb(2) - cheb(1) == T**2 - T - 1
+    assert cheb(0) - cheb(-1) == 1
 
 
 def test_distinct_root_count():
     assert distinct_root_count(cheb(4)) == 4
     assert distinct_root_count((T - 1) ** 2) == 1
-    assert distinct_root_count(cheb_diff(3)) == 3
+    assert distinct_root_count(cheb(3) - cheb(2)) == 3
     for k in range(1, 14):
         assert distinct_root_count(cheb(k)) == k
-        assert distinct_root_count(cheb_diff(k)) == k
+        assert distinct_root_count(cheb(k) - cheb(k - 1)) == k
     with pytest.raises(ValueError):
         distinct_root_count(T.ring.zero())
     R = PolyRing(("x", "y"))
@@ -269,7 +270,7 @@ def test_row_digits_hold_the_bound(k):
 def test_long_ladders_take_rows_and_small_pretzel_row_steps_do_not(monkeypatch):
     loops = []  # (loop, region) per call of either loop
     region = [None]  # the wrapped caller running, if any
-    for name in ("_steps", "_row_steps"):
+    for name in ("_steps", "_row_start"):
         def recorded(*args, _loop=getattr(chebyshev, name), _name=name):
             loops.append((_name, region[0]))
             return _loop(*args)
@@ -289,12 +290,94 @@ def test_long_ladders_take_rows_and_small_pretzel_row_steps_do_not(monkeypatch):
     within(varieties, "_report")
     within(links, "_extend_row")
     varieties.verify_twisted_whitehead(12)
-    # the W_12 report ladder is S_5(gamma) times the other factors; the row
-    # loop takes its steps through _steps on rows
-    assert [loop for loop, where in loops if where == "_report"] == ["_row_steps", "_steps"]
+    # the W_12 report ladder is (S_6 - S_5)(gamma) times the other factors;
+    # its operands are packed into rows, then _steps runs on the rows
+    assert [loop for loop, where in loops if where == "_report"] == ["_row_start", "_steps"]
     loops.clear()
     monkeypatch.setattr(links, "_q_rows", {})
     for n in range(-5, 6):
         links.pretzel_q(2, n, *links.PRETZEL_COORDS)
     stepped = [loop for loop, where in loops if where == "_extend_row"]
     assert stepped and set(stepped) == {"_steps"}
+
+
+def _w12_report_ladder():
+    # (k, tau, u, v) of W_12's report: (S_6 - S_5)(gamma) times R, the
+    # product of the other two factors, is C_6 from (R, R)
+    _, _, q = links.twisted_whitehead_factors(12)
+    prod = q * links.REDUCIBLE_SURFACE
+    return 6, GAMMA, prod, prod
+
+
+def _sign_cases():
+    # seeded ladders on either side of ROW_LADDER_MIN, with u = v and
+    # v = 0 among them, and W_12's report ladder
+    rng = random.Random(34)
+    R3 = PolyRing(("x", "y", "z"))
+    x, y, z = (R3.var(n) for n in R3.names)
+    gamma = x**2 + y**2 + z**2 - x * y * z - 2
+    cases = []
+    for terms in (3, 150):
+        u, v = (_random_poly(rng, R3, terms, 8, 1000) for _ in range(2))
+        for k in (0, 1, 2, 6):
+            cases += [(k, gamma, u, v), (k, gamma, u, u), (k, gamma, u, 0)]
+    t = T_RING.var("t")
+    cases.append((40, t**3 - 2 * t, _random_poly(rng, T_RING, 30, 40, 50), 7))
+    return cases + [_w12_report_ladder()]
+
+
+def test_comb_sign_is_the_sign_of_cheb_comb():
+    kinds = set()
+    for k, tau, u, v in _sign_cases():
+        ring, last = tau.ring, tau.ring.names[-1]
+        _, top, w, steps, t, a, b, rows = chebyshev._ladder(k, tau, u, v)
+        kinds.add((rows, "u = v" if u is v else "v = 0" if isinstance(v, int) and not v else ""))
+        c = cheb_comb(k, tau, u, v)
+        other = PolyRing(ring.names + ("w",))
+        targets = [
+            c, -c, c + 1, ring.zero(),
+            other.from_terms({e + (0,): n for e, n in c.terms.items()}),
+            Polynomial(ring, c._at(_width(_WIDE)), _WIDE),  # wider fields
+            c + ring.monomial(last, top + 1),
+        ]
+        if rows:
+            # 2**beta m - m z has the rows of 0 for m one of C's terms: only
+            # the bound on the target's coefficients tells it from C
+            beta = chebyshev._row_start(steps, t, a, b, w)[0]
+            m = ring.from_terms(dict([next(iter(c.terms.items()))]))
+            alias = c + (1 << beta) * m - m * ring.var(last)
+            assert alias._w == w
+            assert chebyshev._rows(alias._packed, w, beta) == chebyshev._rows(c._at(w), w, beta)
+            targets.append(alias)
+        for target in targets:
+            assert cheb_comb_sign(k, tau, u, v, target) == _match_sign(target, c), (k, tau, target)
+    assert kinds >= {(True, "u = v"), (True, "v = 0"), (True, ""), (False, "u = v"), (False, "")}
+    assert chebyshev._ladder(*_w12_report_ladder())[-1]
+
+
+def test_only_the_members_read_are_unpacked(monkeypatch):
+    unrows = []  # the wrapped caller running at each _unrows call
+    region = [None]
+    report = varieties._report
+
+    def counted(*args, _unrows=chebyshev._unrows):
+        unrows.append(region[0])
+        return _unrows(*args)
+
+    def within_report(*args):
+        region[0] = "_report"
+        try:
+            return report(*args)
+        finally:
+            region[0] = None
+    monkeypatch.setattr(chebyshev, "_unrows", counted)
+    monkeypatch.setattr(varieties, "_report", within_report)
+    monkeypatch.setattr(traces, "_memo", {})
+    monkeypatch.setattr(links, "char_poly_twobridge", links.char_poly_twobridge.__wrapped__)
+    varieties.verify_twisted_whitehead(12)
+    # the relator words' collapse reads its value and its kept r - 1
+    # neighbour; the report compares rows and unpacks nothing
+    assert unrows == [None, None]
+    unrows.clear()
+    cheb_comb(*_w12_report_ladder())
+    assert unrows == [None]
