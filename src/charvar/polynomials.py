@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import chain
-from operator import add, itemgetter, lshift, or_
+from itertools import chain, repeat
+from operator import add, and_, itemgetter, lshift, mod, or_, rshift
 
 NEG_INF = float("-inf")
 
@@ -237,11 +237,14 @@ class Polynomial:
         """The term map under exponent tuples, built on first read and cached; read only."""
         terms = self._terms
         if terms is None:
-            mask = (1 << self._w) - 1
-            shifts = self.ring._shifts(self._w)
-            terms = {tuple([(k >> s) & mask for s in shifts]): c for k, c in self._packed.items()}
-            self._terms = terms
+            terms = self._terms = dict(zip(self._exponents(self._packed), self._packed.values()))
         return terms
+
+    def _exponents(self, keys):
+        """The exponent tuples of packed keys, in order, read one field at a time."""
+        mask = repeat((1 << self._w) - 1)
+        shifts = self.ring._shifts(self._w)
+        return zip(*[map(and_, map(rshift, keys, repeat(s)), mask) for s in shifts])
 
     def _at(self, w):
         """The packed term map with fields w bits wide; w must hold every exponent."""
@@ -423,16 +426,33 @@ class Polynomial:
         packed = self._packed
         if not packed:
             raise ValueError("zero polynomial has no leading term")
-        mask = (1 << self._w) - 1
-        shifts = self.ring._shifts(self._w)
         keys = list(packed)
-        degrees = [0] * len(keys)
-        for s in shifts:
-            degrees = list(map(add, degrees, [(k >> s) & mask for k in keys]))
         # fields run most significant variable first, so at equal total
         # degree the larger key is the lex-larger exponent
-        _, key = max(zip(degrees, keys))
-        return tuple([(key >> s) & mask for s in shifts]), packed[key]
+        _, key = max(zip(self._degrees(keys), keys))
+        return next(self._exponents((key,))), packed[key]
+
+    def _degrees(self, keys):
+        """The total degree of each packed key, in order."""
+        w = self._w
+        mask = (1 << w) - 1
+        if len(self.ring.names) * self._top < mask:
+            # 2**w = 1 mod 2**w - 1, so a key is its degree mod 2**w - 1
+            # when no degree reaches that
+            return list(map(mod, keys, repeat(mask)))
+        return list(map(sum, self._exponents(keys)))
+
+    def _grlex(self):
+        """The packed keys, descending in the graded-lex order.
+
+        The order is (degree, key) on one int per term, the degree above
+        the key's fields; the keys are distinct, so no two coefficients
+        are compared.
+        """
+        keys = list(self._packed)
+        span = self._w * len(self.ring.names)
+        ranked = map(or_, map(lshift, self._degrees(keys), repeat(span)), keys)
+        return list(map(and_, sorted(ranked, reverse=True), repeat((1 << span) - 1)))
 
     def leading_coefficient(self):
         return self.leading()[1]
@@ -659,9 +679,8 @@ class Polynomial:
 
     def sorted_terms(self):
         """(exponent, coefficient) pairs, descending in the graded-lex order."""
-        terms = self.terms
-        # exponents are distinct, so no two coefficients are compared
-        return [item for _, item in sorted(zip(map(sum, terms), terms.items()), reverse=True)]
+        keys = self._grlex()
+        return list(zip(self._exponents(keys), map(self._packed.__getitem__, keys)))
 
     def __str__(self):
         if not self._packed:
@@ -689,20 +708,30 @@ class Polynomial:
         return "<Polynomial %s>" % self
 
     def to_json(self):
-        """Interchange form: variables plus grlex-descending term list."""
+        """Interchange form: variables plus grlex-descending term list.
+
+        Each term is {"exp": [exponents], "coeff": "decimal string"}.  The
+        exponents are read from the packed keys in the order of _grlex,
+        without building `terms`.
+        """
+        keys = self._grlex()
+        exps = map(list, self._exponents(keys))
+        coeffs = map(str, map(self._packed.__getitem__, keys))
         return {
             "vars": list(self.ring.names),
-            "terms": [
-                {"exp": list(exp), "coeff": str(c)} for exp, c in self.sorted_terms()
-            ],
+            "terms": [{"exp": e, "coeff": c} for e, c in zip(exps, coeffs)],
         }
 
 
 def from_json(data, ring=None):
     """Rebuild a Polynomial from its interchange form.
 
-    The types are checked once over all terms (a bool is not an int here),
-    one pass converts and sums the terms, and the exponent vectors of the
+    The types are checked once over all terms (a bool is not an int here).
+    When every exponent vector has one entry per variable and none is
+    negative, every coefficient is nonzero and no vector repeats, the
+    vectors are packed at the width of the largest exponent, one field
+    at a time, and that exponent is the result's exact top.  Any other
+    input is summed term by term, and the exponent vectors of the
     nonzero sums are then checked once, as they are packed.
     """
     names = data["vars"]
@@ -717,8 +746,17 @@ def from_json(data, ring=None):
         ring = PolyRing(names)
     elif ring.names != names:
         raise ValueError("variable list %r does not match ring %r" % (names, ring.names))
+    coeffs = list(map(int, coeffs))
+    if set(map(len, exps)) <= {len(names)} and min(chain(*exps), default=0) >= 0 and all(coeffs):
+        top = max(chain(*exps), default=0)
+        keys = [0] * len(exps)
+        for column, s in zip(zip(*exps), ring._shifts(_width(top))):
+            keys = list(map(or_, keys, map(lshift, column, repeat(s))))
+        packed = dict(zip(keys, coeffs))
+        if len(packed) == len(keys):
+            return Polynomial(ring, packed, top)
     terms = {}
-    for exp, c in zip(map(tuple, exps), map(int, coeffs)):
+    for exp, c in zip(map(tuple, exps), coeffs):
         terms[exp] = terms.get(exp, 0) + c
     return ring._from_exponents({e: c for e, c in terms.items() if c})
 

@@ -24,26 +24,32 @@ the walk, rotated to end on the heaviest syllable, takes that syllable
 in one row, this trace row times its rows, and forms only the trace.
 
 The memo holds one polynomial per class under conjugation and
-inversion, stored under that class's key, canonical_form.  A word with
-every exponent negated, and so the reverse of a word (the inverse of
-its negation), has the same polynomial, since A^-1, B^-1 and
-A^-1 B^-1 = (BA)^-1 have traces x, y and z; it is a class of its own
-and is computed on its first lookup.  A collapse also stores the word
-with one repeat fewer: cheb_pair ends on (tr(P B^r Q), tr(P B^(r-1) Q)),
-so a twisted Whitehead link's second relator word w b^-1 is served with
-no block search and no product.
+inversion, stored under that class's key, canonical_form as a one-byte
+code (below).  A word with every exponent negated, and so the reverse
+of a word (the inverse of its negation), has the same polynomial, since
+A^-1, B^-1 and A^-1 B^-1 = (BA)^-1 have traces x, y and z; it is a
+class of its own and is computed on its first lookup.  A collapse also
+stores the word with one repeat fewer: cheb_pair ends on
+(tr(P B^r Q), tr(P B^(r-1) Q)), so a twisted Whitehead link's second
+relator word w b^-1 is served with no block search and no product.
 
 Keys and the block search work on one-byte syllable codes: (g, e) with
 0 < |e| < 64 is the byte 64 + e for a and 192 + e for b, so byte order
 is the syllables' tuple order and the inverse is the reversed code
-under one bytes.translate.  canonical_form compares the rotations that
-start at the least byte as slices of the doubled code, and reduces a
-word as syllables only when its generator bytes do not alternate
-around the cycle, so a kept neighbour (reduced as it is built) is
-never reduced again.
-_find_block takes the agreement of the doubled code with itself
-shifted by L syllables from one int XOR.  A word with a syllable
-|e| >= 64 takes the same steps on syllable tuples and small int codes.
+under one bytes.translate.  A memo key is the least rotation of a
+class's code or of its inverse, compared as slices of the doubled code
+from the occurrences of its least byte; a class with a syllable
+|e| >= 64 once cyclically reduced is keyed by its canonical syllable
+tuple instead, and takes the same steps on syllable tuples and small
+int codes.  A word given as syllables is encoded once and reduced as
+syllables only when its generator bytes do not alternate around the
+cycle.  From there the engine stays on codes: _compute and _find_block
+take the key, weights are read through one 256-byte translate table,
+the collapse's sub-words and its kept neighbour are byte slices, and
+the spliced inverse block is merged into its neighbours on the codes
+(_join, _close).  Only _walk decodes, and canonical_form decodes the
+key into its public syllable tuple.  _find_block takes the agreement of
+the doubled code with itself shifted by L syllables from one int XOR.
 
 trace_poly_oracle recomputes the same polynomial by multiplying explicit
 SL2 matrices, with every b-letter scaled by c so that all entries are
@@ -231,6 +237,7 @@ _SYLLABLE = tuple(("ab"[c >> 7], c % 128 - 64) if c % 64 else None for c in rang
 _CODE = {syllable: c for c, syllable in enumerate(_SYLLABLE) if syllable}
 _NEGATE = bytes((c & 128) + 128 - (c & 127) if c % 64 else c for c in range(256))
 _GENERATOR = bytes(c >> 7 for c in range(256))  # 0 for a, 1 for b
+_WEIGHT = bytes(abs(c % 128 - 64) if c % 64 else 0 for c in range(256))  # |e|
 _AGREE = bytes([1] + [0] * 255)  # an XOR byte of 0 is an agreement
 
 
@@ -243,6 +250,16 @@ def _encode(word):
         return bytes(map(_CODE.__getitem__, word))
     except (KeyError, TypeError):
         return None
+
+
+def _decode(code):
+    """The syllable tuple of a one-byte code."""
+    return tuple(map(_SYLLABLE.__getitem__, code))
+
+
+def _weight(u):
+    """Sum of |e| over a code's or a syllable tuple's syllables."""
+    return sum(u.translate(_WEIGHT)) if type(u) is bytes else sum(abs(e) for _, e in u)
 
 
 def _least(w, inverse):
@@ -267,6 +284,30 @@ def _least(w, inverse):
     return best
 
 
+def _key(word):
+    """The memo key of the word's class: canonical_form as a one-byte code.
+
+    A word with a syllable |e| >= 64 once cyclically reduced has no code;
+    its key is its canonical syllable tuple.  A code is taken as
+    cyclically reduced, as every code a collapse traces is.
+    """
+    if type(word) is bytes:
+        code = word
+    else:
+        word = tuple(word)
+        code = _encode(word)
+        if code is not None:
+            gens = code.translate(_GENERATOR)
+            if b"\0\0" in gens or b"\1\1" in gens or len(gens) > 1 and gens[0] == gens[-1]:
+                code = None
+        if code is None:
+            word = cyclic_reduce(free_reduce(word))
+            code = _encode(word)
+            if code is None:
+                return _least(word, word_inverse(word))
+    return _least(code, code[::-1].translate(_NEGATE))
+
+
 def canonical_form(word):
     """Least representative among all rotations of the word and its inverse.
 
@@ -279,18 +320,34 @@ def canonical_form(word):
     whose generator bytes alternate around the cycle is cyclically
     reduced as it stands; any other word is reduced as syllables first.
     """
-    word = tuple(word)
-    code = _encode(word)
-    if code is not None:
-        gens = code.translate(_GENERATOR)
-        if b"\0\0" in gens or b"\1\1" in gens or len(gens) > 1 and gens[0] == gens[-1]:
-            code = None
-    if code is None:
-        word = cyclic_reduce(free_reduce(word))
-        code = _encode(word)
-        if code is None:
-            return _least(word, word_inverse(word))
-    return tuple(map(_SYLLABLE.__getitem__, _least(code, code[::-1].translate(_NEGATE))))
+    key = _key(word)
+    return key if type(key) is tuple else _decode(key)
+
+
+def _join(left, right):
+    """left + right, two freely reduced codes, merged where they meet.
+
+    Syllables of one generator add their exponents, and each that
+    cancels brings the next pair together; None if a merged syllable
+    leaves the code table.
+    """
+    while left and right and (left[-1] ^ right[0]) < 128:
+        e = (left[-1] & 127) + (right[0] & 127) - 128
+        if e:
+            merged = bytes(((right[0] & 128) + 64 + e,)) if -64 < e < 64 else None
+            return merged and left[:-1] + merged + right[1:]
+        left, right = left[:-1], right[1:]
+    return left + right
+
+
+def _close(code):
+    """A freely reduced code cyclically reduced, or None past the code table."""
+    while len(code) > 1 and (code[0] ^ code[-1]) < 128:
+        e = (code[0] & 127) + (code[-1] & 127) - 128
+        if e:
+            return bytes(((code[0] & 128) + 64 + e,)) + code[1:-1] if -64 < e < 64 else None
+        code = code[1:-1]
+    return code
 
 
 # -- the engine: block collapse, then the walk ------------------------------
@@ -299,8 +356,8 @@ _memo = {}
 
 
 def trace_poly(word):
-    """The unique trace polynomial P_word in x, y, z, memoized under canonical_form(word)."""
-    key = canonical_form(word)
+    """The unique trace polynomial P_word in x, y, z, memoized under the class's key."""
+    key = _key(word)
     value = _memo.get(key)
     if value is None:
         value = _memo[key] = _compute(key)
@@ -314,17 +371,24 @@ def _compute(u):
         # collapse only when it removes at least a quarter of the weight:
         # each collapse traces two words of nearly the full length, so a
         # small saving costs more than the walk
-        if 4 * (reps - 1) * sum(abs(e) for _, e in block) >= sum(abs(e) for _, e in u):
+        if 4 * (reps - 1) * _weight(block) >= _weight(u):
+            # a repeated block has an even syllable count, so prefix +
+            # suffix and the block are cyclically reduced as they stand;
+            # the inverse block merges where it meets its neighbours
+            if type(u) is bytes:
+                rest = suffix + prefix
+                inverse = block[::-1].translate(_NEGATE)
+                spliced = _join(rest, inverse)
+                spliced = spliced and _close(spliced)
+                if spliced is None:
+                    spliced = _decode(rest + inverse)
+            else:
+                spliced = prefix + word_inverse(block) + suffix
             value, lower = cheb_pair(
-                reps,
-                trace_poly(block),
-                # a repeated block has an even syllable count, so prefix +
-                # suffix is reduced; trace_poly reduces the other word
-                trace_poly(prefix + suffix),
-                trace_poly(prefix + word_inverse(block) + suffix),
+                reps, trace_poly(block), trace_poly(prefix + suffix), trace_poly(spliced)
             )
             # lower is the trace of the word with one repeat fewer
-            _memo.setdefault(canonical_form(prefix + block * (reps - 1) + suffix), lower)
+            _memo.setdefault(_key(prefix + block * (reps - 1) + suffix), lower)
             return value
     return _walk(u)
 
@@ -337,7 +401,8 @@ def _find_block(u):
     syllables and starts at position i of w, and repeats >= 2 is as large
     as w allows.  The choice maximizes (repeats - 1) * weight(block), the
     weight one application of the power identity removes.  Ties go to the
-    smallest r, then the smallest L, then the smallest i.
+    smallest r, then the smallest L, then the smallest i.  u is a
+    one-byte code or a syllable tuple, and the parts are of its kind.
 
     The block of length L at cyclic position s repeats k times iff the
     syllables from s agree with those L further on for (k - 1) L
@@ -346,19 +411,21 @@ def _find_block(u):
     syllable count n.  The agreement bytes come from one XOR of the
     doubled one-byte code read as an int, its top 2n - L bytes against
     its low ones, with each zero byte read as 1 and any other as 0; a
-    word with a syllable outside the table compares small int codes
-    instead.  Rotation r = s (i = 0) leaves the most room, and k copies
+    syllable tuple, the key of a word with a syllable outside the table,
+    compares small int codes instead.  Rotation r = s (i = 0) leaves the most room, and k copies
     fit in rotation r iff i = s - r is at most n - k L, so each (s, L)
     with the largest saving first appears in rotation max(0, s - (n - k L)).
     """
     n = len(u)
-    code = _encode(u)
-    if code is None:
+    if type(u) is bytes:
+        code = u
+        big = int.from_bytes(code * 2, "big")
+        cum = [0, *accumulate((code * 2).translate(_WEIGHT))]
+    else:
+        code = None
         codes = {}
         uu = [codes.setdefault(syllable, len(codes)) for syllable in u] * 2
-    else:
-        big = int.from_bytes(code * 2, "big")
-    cum = [0, *accumulate([abs(e) for _, e in u] * 2)]
+        cum = [0, *accumulate([abs(e) for _, e in u] * 2)]
     best_saved = 0
     best = None  # (r, L, i, reps)
     for L in range(2, n // 2 + 1):
@@ -446,6 +513,8 @@ def _walk(u):
     """
     if not u:
         return Polynomial(RING, {0: 2}, 0)
+    if type(u) is bytes:
+        u = _decode(u)
     sizes = [abs(e) for _, e in u]
     weight = sum(sizes)
     w = _width(weight)

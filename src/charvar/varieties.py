@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, partial, reduce
+from operator import mul
 
 from . import links
 from .chebyshev import T, cheb_at, cheb_comb, cheb_comb_sign, distinct_root_count
@@ -410,12 +411,11 @@ def _report(link, factors, full, word=None, notes=()):
 
     With word, the link's relator word, full must also pass relator_fingerprint.
     """
-    prod = RING.one()
-    # the surface factor, first and smallest, is multiplied in last: it
-    # then meets one large operand instead of two
-    for f in reversed(factors):
-        if f.comb is None:
-            prod = prod * f.poly
+    # the product starts at the last plain factor, not at 1, and the
+    # surface factor, first and smallest, is multiplied in last: it then
+    # meets one large operand instead of two
+    plain = [f.poly for f in reversed(factors) if f.comb is None]
+    prod = reduce(mul, plain) if plain else RING.one()
     family = [f for f in factors if f.comb is not None]
     for f in family[:-1]:
         k, u, v = f.comb

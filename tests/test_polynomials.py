@@ -6,6 +6,8 @@ import pytest
 from charvar.polynomials import (
     NEG_INF,
     PolyRing,
+    Polynomial,
+    _width,
     from_json,
     is_perfect_square,
     poly_gcd,
@@ -839,3 +841,101 @@ def test_from_json_checks_each_term_once():
     wide = X**1500 * Y - 3 * Z**70000 + 2
     assert from_json(wide.to_json(), R) == wide
     assert from_json(json.loads(json.dumps(wide.to_json()))).terms == wide.terms
+
+
+def _to_json_reference(p):
+    # to_json as first written: the exponent-tuple terms, sorted by
+    # (degree, exponent), descending
+    terms = p.terms
+    ordered = [item for _, item in sorted(zip(map(sum, terms), terms.items()), reverse=True)]
+    terms = [{"exp": list(e), "coeff": str(c)} for e, c in ordered]
+    return {"vars": list(p.ring.names), "terms": terms}
+
+
+def test_to_json_matches_the_terms_reference(rng):
+    polys = [R.zero(), R.const(7), R.const(-3), T_RING.const(5), T_RING.zero(), T**1100 - 4 * T]
+    # degrees past 2**10 - 1 in 10-bit fields, exponents past ten bits, and
+    # loose exponent bounds, in and past the 10-bit width
+    polys += [
+        X**400 * Y**400 * Z**400 - X**1000 + Y**999 * Z,
+        X**1500 * Y - 3 * Z**70000 + 2,
+        (X**600 + Y * Z) - X**600,
+        (X**2000 - 5 * Y**2 * Z) - X**2000,
+    ]
+    for ring in (R, T_RING, R_WITNESS):
+        for max_deg, scale in ((6, 1), (6, 10**40), (1500, 1)):
+            for _ in range(60):
+                polys.append(random_poly(rng, ring, 8, max_deg, 9 * scale))
+    assert sum(p._w > 10 for p in polys) > 20 and sum(p.is_constant() for p in polys) > 10
+    for p in polys:
+        fresh = Polynomial(p.ring, dict(p._packed), p._top)  # no terms cache yet
+        expected = _to_json_reference(p)
+        assert fresh.to_json() == expected, p
+        assert fresh._terms is None
+        assert json.dumps(fresh.to_json()) == json.dumps(expected)
+        ordered = [(tuple(t["exp"]), int(t["coeff"])) for t in expected["terms"]]
+        assert fresh.sorted_terms() == ordered
+        assert str(fresh) == str(p.ring.from_terms(p.terms))
+        if not p.is_zero():
+            assert fresh.leading() == fresh.sorted_terms()[0]
+
+
+def _blob(*terms, names=("x", "y", "z")):
+    return {"vars": list(names), "terms": [{"exp": e, "coeff": c} for e, c in terms]}
+
+
+def test_from_json_refuses_every_mistyped_short_long_or_negative_term():
+    good = ([1, 0, 2], "3")
+    bad = [
+        (("1", 0, 0), "2"),
+        ([1.0, 0, 0], "2"),
+        ([True, 0, 0], "2"),
+        (["1", 0, 0], "2"),
+        ([None, 0, 0], "2"),
+        ({"x": 1}, "2"),
+        ([1, 0, 0], 1.5),
+        ([1, 0, 0], True),
+        ([1, 0, 0], None),
+        ([1, 0, 0], ["2"]),
+        ([1, 0, 0], "x"),
+        ([1, 0, 0], "1.5"),
+        ([1, 0, 0], ""),
+        ([], "2"),
+        ([1, 0], "2"),
+        ([1, 0, 2, 0], "2"),
+        ([0, -1, 0], "2"),
+        ([-5, 0, 0], "-2"),
+        ([0, 0, -1], 7),
+    ]
+    for term in bad:
+        # alone, beside a good term on either side, and beside a repeated term
+        for terms in ((term,), (good, term), (term, good), (good, good, term)):
+            with pytest.raises(ValueError):
+                from_json(_blob(*terms), R)
+            with pytest.raises(ValueError):
+                from_json(_blob(*terms))
+    with pytest.raises(ValueError):
+        from_json({"vars": ("x", "y", "z"), "terms": [{"exp": [1, 0, 2], "coeff": "3"}]})
+    with pytest.raises(ValueError):
+        from_json(_blob(good, names=("x", "z", "y")), R)
+
+
+def test_from_json_drops_zero_sums_and_keeps_the_exact_top(rng):
+    # a repeated vector whose sum is 0 leaves no term and no trace in the top
+    p = from_json(_blob(([2000, 0, 0], "5"), ([0, 3, 1], "2"), ([2000, 0, 0], "-5")), R)
+    assert p == 2 * Y**3 * Z and p._top == 3 and p._w == 10
+    p = from_json(_blob(([0, 0, 1100], 0), ([5, 0, 1], "1")), R)
+    assert p == X**5 * Z and p._top == 5 and p._w == 10
+    assert from_json(_blob(([0, 1, 0], "4"), ([0, 1, 0], "-4")), R).is_zero()
+    assert from_json(_blob(([0, 1, 0], "4"), ([0, 1, 0], "-1"), ([1, 1, 1], 1)), R) == (
+        3 * Y + X * Y * Z
+    )
+    # without repeats the top is the largest exponent given, whatever the order
+    for p in [R.zero(), 7 * X**1500 * Y - Z**3, (X**2000 - Y) - X**2000]:
+        for _ in range(20):
+            p = p + random_poly(rng, R, max_terms=6, max_deg=40)
+            data = p.to_json()
+            rng.shuffle(data["terms"])
+            q = from_json(json.loads(json.dumps(data)), R)
+            assert q == p and q._top == q._exact_top() == p._exact_top()
+            assert q._w == _width(q._top)

@@ -471,8 +471,17 @@ def test_find_block_matches_reference(rng):
     for u in words:
         expected = _find_block_reference(u)
         assert traces._find_block(u) == expected, u
+        assert _decoded_block(traces._find_block(traces._encode(u))) == expected, u
         found += expected is not None
     assert found > len(words) // 2
+
+
+def _decoded_block(found):
+    # _find_block's parts on a one-byte code, as syllable tuples
+    if found is None:
+        return None
+    prefix, block, reps, suffix = found
+    return traces._decode(prefix), traces._decode(block), reps, traces._decode(suffix)
 
 
 def test_find_block_none_without_repeats():
@@ -480,10 +489,12 @@ def test_find_block_none_without_repeats():
     for text in ("", "a", "a^3", "ab", "aB^2", "abA", "a^2bA^-3"):
         u = parse_word(text)
         assert traces._find_block(u) is None and _find_block_reference(u) is None
+        assert traces._find_block(traces._encode(u)) is None
     # every syllable distinct: no block repeats in any rotation
     for n in (4, 9, 20):
         u = tuple(("ab"[j % 2], j + 1) for j in range(n))
         assert traces._find_block(u) is None and _find_block_reference(u) is None
+        assert traces._find_block(traces._encode(u)) is None
 
 
 def test_walk_matches_oracle_on_random_words():
@@ -571,7 +582,9 @@ def test_reverse_and_negation_trace_alike_with_cold_and_warm_memos(monkeypatch):
     computed = []
     compute = traces._compute
     monkeypatch.setattr(traces, "_compute", lambda u: computed.append(u) or compute(u))
-    for w in [parse_word("a b^2 A^3 B")] + list(relator_words(riley_word(11, 3))):
+    kinds = set()
+    beyond = [parse_word("a^70 b^2 A^3 B")]
+    for w in [parse_word("a b^2 A^3 B")] + list(relator_words(riley_word(11, 3))) + beyond:
         words = (w, tuple(reversed(w)), _negated(w))
         expected = trace_poly_oracle(w)
         for u in words:
@@ -582,11 +595,14 @@ def test_reverse_and_negation_trace_alike_with_cold_and_warm_memos(monkeypatch):
         computed.clear()
         for u in words + words:
             assert trace_poly(u) == expected, u
-        # each _compute call stores one key, the word's own canonical form;
+        # each _compute call stores one key, the word's own key, which is its
+        # canonical form as a one-byte code, or as syllables past the table;
         # any other key is a kept neighbour stored through setdefault
         kept = {key for key, _ in memo.kept} - set(computed)
-        assert all(canonical_form(u) == u for u in computed)
+        _assert_own_keys(computed)
         assert len(set(computed)) == len(computed) == len(memo) - len(kept), w
+        kinds.update(map(type, computed))
+    assert kinds == {bytes, tuple}
     # a Riley word is a palindrome, so the conjugate variant's left word
     # a^-1 w a b^-1 is a rotation of the reverse of a w a^-1 b^-1
     w = riley_word(11, 3)
@@ -626,16 +642,38 @@ class _KeptNeighbours(dict):
 def test_every_kept_neighbour_matches_the_oracle(monkeypatch):
     specs = [(2 * k + 2, 2 * k + 1) for k in range(13)]
     specs += [(p, 3) for p in range(4, 23) if p % 3]
-    kept = 0
-    for p, m in specs:
-        for u in relator_words(riley_word(p, m)):
-            memo = _KeptNeighbours()
-            monkeypatch.setattr(traces, "_memo", memo)
-            trace_poly(u)
-            for key, value in memo.kept:
-                assert value == trace_poly_oracle(key), (p, m, key)
-            kept += len(memo.kept)
-    assert kept
+    words = [u for p, m in specs for u in relator_words(riley_word(p, m))]
+    # a collapse on syllable tuples past the table, and one on codes whose
+    # inverse block merges past it
+    words += [parse_word("(a^70 b^2)^3 a b"), parse_word("a^40 (b a^-30)^3 b^5")]
+    kept = []
+    for u in words:
+        memo = _KeptNeighbours()
+        monkeypatch.setattr(traces, "_memo", memo)
+        trace_poly(u)
+        keys = [key for key, _ in memo.kept]
+        _assert_own_keys(keys)
+        for key, value in memo.kept:
+            assert value == trace_poly_oracle(_syllables(key)), (u, key)
+        kept += keys
+    assert any(type(key) is tuple for key in kept) and any(type(key) is bytes for key in kept)
+
+
+def _syllables(key):
+    return key if type(key) is tuple else traces._decode(key)
+
+
+def _assert_own_keys(keys):
+    # each memo key is its own key and decodes to its canonical form: a
+    # one-byte code, or a syllable tuple where a syllable has |e| >= 64
+    for key in keys:
+        assert traces._key(key) == key, key
+        word = _syllables(key)
+        assert canonical_form(word) == word, key
+        for syllable in word:
+            assert type(syllable) is tuple and len(syllable) == 2, key
+            assert type(syllable[0]) is str and type(syllable[1]) is int, key
+        assert (type(key) is bytes) == (traces._encode(word) is not None), key
 
 
 # -- one-byte syllable codes ------------------------------------------------------
@@ -720,6 +758,21 @@ def test_find_block_matches_reference_beyond_the_code_table(rng):
     assert beyond > len(words) * 3 // 4 and found > len(words) // 3
 
 
+def test_codes_join_and_close_as_syllables_reduce(rng):
+    # a collapse splices the inverse block between the rest of the word's
+    # ends on codes; each merge, cancellation and exit from the code table
+    # must be free_reduce's and cyclic_reduce's
+    for max_exp in (1, 2, 40, 63):
+        for _ in range(400):
+            left, right = (random_word(rng, 6, max_exp) for _ in range(2))
+            joined = traces._join(traces._encode(left), traces._encode(right))
+            reduced = free_reduce(left + right)
+            assert joined == traces._encode(reduced), (left, right)
+            if joined is not None:
+                closed = traces._close(joined)
+                assert closed == traces._encode(cyclic_reduce(reduced)), (left, right)
+
+
 def test_xor_agreement_equals_syllable_comparison(rng):
     for max_exp in (1, 2, 63):
         for _ in range(100):
@@ -730,16 +783,14 @@ def test_xor_agreement_equals_syllable_comparison(rng):
                 assert traces._agreement(big, len(u), L) == bytes(map(eq, uu, uu[L:])), (u, L)
 
 
-def test_memo_keys_are_canonical_syllable_tuples(monkeypatch):
+def test_memo_keys_are_their_own_keys_and_decode_to_canonical_form(monkeypatch):
     monkeypatch.setattr(traces, "_memo", {})
     for p in range(4, 36):
         if p % 3:
             for u in relator_words(riley_word(p, 3)):
                 trace_poly(u)
+    beyond = parse_word("a^70 b^2 A^3 B")
+    trace_poly(beyond)
     assert len(traces._memo) > 100
-    for key in traces._memo:
-        assert type(key) is tuple
-        for syllable in key:
-            assert type(syllable) is tuple and len(syllable) == 2, key
-            assert type(syllable[0]) is str and type(syllable[1]) is int, key
-        assert canonical_form(key) == key
+    _assert_own_keys(traces._memo)
+    assert type(canonical_form(beyond)) is tuple and canonical_form(beyond) in traces._memo

@@ -495,3 +495,23 @@ def test_certified_irreducible_factors_are_irreducible_over_q():
             assert [m for _, m in factors] == [1], (report.link, f.poly, factors)
             checked += 1
     assert checked == 2 * len(reports)  # the surface and one more factor per link
+
+
+def test_report_product_starts_at_a_factor_and_ends_on_the_surface(monkeypatch):
+    # the exact product never multiplies by 1, and the reducible surface,
+    # the first and smallest factor, is the last multiplicand
+    specs = ["whitehead:%d" % k for k in (1, 2, 5, 12)] + ["pretzel:2,3", "pretzel:-3,-2"]
+    mul = Polynomial.__mul__
+    for spec in specs:
+        rep = _report_of(spec)
+        plain = [f.poly for f in rep.factors if f.comb is None]
+        products = []
+        monkeypatch.setattr(
+            Polynomial, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b)
+        )
+        again = varieties._report(rep.link, rep.factors, rep.full)
+        monkeypatch.undo()
+        assert again.product_check and again.sign == rep.sign, spec
+        assert not any(p.is_one() for pair in products for p in pair if isinstance(p, Polynomial))
+        assert len(products) == len(plain) - 1 >= 1, spec
+        assert plain[0] == REDUCIBLE_SURFACE and products[-1][1] is plain[0], spec
